@@ -3,8 +3,9 @@
 Exit codes separate kinds of outcome: 0 success, 1 input error, 2 internal
 verification failure (a witness or table fails re-verification), 3 a checked
 conjecture is contradicted by the data — a finding, not a bug, so it gets a
-distinct code. All output is deterministic given the flags; seeds default to
-fixed values and ``--threads`` never changes results, only wall time.
+distinct code. All output is deterministic given the flags, and seeds default
+to fixed values. ``--threads`` is accepted and validated (>= 1) but has no
+effect: every solver runs in the calling thread.
 """
 
 from __future__ import annotations
@@ -361,7 +362,7 @@ def _cmd_conjecture_fact23(args) -> int:
 
 def _add_threads(p) -> None:
     p.add_argument("--threads", type=int, default=1,
-                   help="worker count; never affects results (default 1)")
+                   help="accepted for compatibility; has no effect (default 1)")
 
 
 def _add_table(p, kind: str) -> None:

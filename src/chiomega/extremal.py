@@ -10,14 +10,13 @@ graph whose invariants are recomputed exactly).
 from __future__ import annotations
 
 import functools
-import json
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
+from ._records import load_packaged, read_records, write_records
 from .graphs import (
     Graph,
     complete_graph,
@@ -212,21 +211,42 @@ def _extend(adj: tuple[int, ...], mask: int) -> tuple[int, ...]:
     return tuple((row | bit if mask >> v & 1 else row) for v, row in enumerate(adj)) + (mask,)
 
 
+class _Counter:
+    """Counts extension tests and raises BudgetExceeded past ``limit``."""
+
+    __slots__ = ("count", "limit")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.limit: Optional[int] = None
+
+    def tick(self) -> None:
+        self.count += 1
+        if self.limit is not None and self.count > self.limit:
+            raise BudgetExceeded
+
+
+def _canonical_descendants(adj: tuple[int, ...], n: int,
+                           counter: _Counter) -> Iterator[tuple[int, ...]]:
+    """The canonical graphs on n vertices below ``adj`` in the extension tree.
+
+    Yields in a fixed order and ticks ``counter`` once per extension test.
+    """
+    if len(adj) == n:
+        yield adj
+        return
+    for mask in range(1 << len(adj)):
+        counter.tick()
+        child = _extend(adj, mask)
+        if _is_canonical(child):
+            yield from _canonical_descendants(child, n, counter)
+
+
 def canonical_graphs(n: int) -> Iterator[Graph]:
     """All graphs on n vertices up to isomorphism, one canonical labeling each."""
     if not 1 <= n <= 64:
         raise ValueError(f"need 1 <= n <= 64, got {n}")
-
-    def grow(adj: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if len(adj) == n:
-            yield adj
-            return
-        for mask in range(1 << len(adj)):
-            child = _extend(adj, mask)
-            if _is_canonical(child):
-                yield from grow(child)
-
-    for adj in grow((0,)):
+    for adj in _canonical_descendants((0,), n, _Counter()):
         yield Graph(n, adj)
 
 
@@ -244,40 +264,6 @@ def _prefer(cand: tuple[Ratio, Graph], best: Optional[tuple[Ratio, Graph]]) -> b
     return to_graph6(g) < to_graph6(bg)
 
 
-class _EnumBest:
-    """Fold the enumeration of one subtree down to its best ratio record."""
-
-    def __init__(self, n: int, budget: Optional[int]) -> None:
-        self.n = n
-        self.budget = budget
-        self.nodes = 0
-        self.best: Optional[tuple[Ratio, Graph]] = None
-
-    def _score(self, adj: tuple[int, ...]) -> None:
-        g = Graph(self.n, adj)
-        omega = clique_number(g).value
-        # chi <= n caps the ratio at n/omega; skip the chromatic solve when
-        # even that cannot beat or tie the incumbent.
-        if self.best is not None and self.n * self.best[0].den < self.best[0].num * omega:
-            return
-        chi = chromatic_number(g).value
-        cand = (Ratio(chi, omega), g)
-        if _prefer(cand, self.best):
-            self.best = cand
-
-    def run(self, root: tuple[int, ...]) -> None:
-        if len(root) == self.n:
-            self._score(root)
-            return
-        for mask in range(1 << len(root)):
-            self.nodes += 1
-            if self.budget is not None and self.nodes > self.budget:
-                raise BudgetExceeded
-            child = _extend(root, mask)
-            if _is_canonical(child):
-                self.run(child)
-
-
 _ROOT_SIZE = 4
 
 
@@ -290,7 +276,8 @@ def max_ratio_exact(n: int, node_budget: Optional[int] = None, workers: int = 1,
     Exhaustive mode is capped at n = 8; n = 9 (274668 classes) must be opted
     into explicitly, and larger n are refused outright — use
     ``max_ratio_search`` there. A budget (counted in extension tests) turns
-    the result into a partial, non-exhaustive record.
+    the result into a partial, non-exhaustive record. ``workers`` is
+    validated but has no effect: the search runs in the calling thread.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -301,58 +288,42 @@ def max_ratio_exact(n: int, node_budget: Optional[int] = None, workers: int = 1,
     if workers < 1:
         raise ValueError("workers must be >= 1")
 
-    # Partition the enumeration tree at a fixed small size; the subtree roots,
-    # their order, and their budget shares never depend on the worker count.
-    roots: list[tuple[int, ...]] = []
-    nodes = 0
+    # The budget is split evenly over the subtrees rooted at a fixed small
+    # size, so a partial record shows some work from every part of the tree.
+    counter = _Counter()
     if n <= _ROOT_SIZE:
-        roots.append((0,))
+        roots = [(0,)]
     else:
-        def seed_roots(adj: tuple[int, ...]) -> None:
-            nonlocal nodes
-            if len(adj) == _ROOT_SIZE:
-                roots.append(adj)
-                return
-            for mask in range(1 << len(adj)):
-                nodes += 1
-                child = _extend(adj, mask)
-                if _is_canonical(child):
-                    seed_roots(child)
-
-        seed_roots((0,))
-
+        roots = list(_canonical_descendants((0,), _ROOT_SIZE, counter))
     shares: list[Optional[int]] = [None] * len(roots)
     if node_budget is not None:
-        remaining = max(0, node_budget - nodes)
-        base, extra = divmod(remaining, len(roots))
+        base, extra = divmod(max(0, node_budget - counter.count), len(roots))
         shares = [base + (1 if i < extra else 0) for i in range(len(roots))]
-
-    def run_root(args):
-        root, share = args
-        fold = _EnumBest(n, share)
-        try:
-            fold.run(root)
-        except BudgetExceeded:
-            return fold.best, fold.nodes, False
-        return fold.best, fold.nodes, True
-
-    if workers == 1:
-        outcomes = [run_root(item) for item in zip(roots, shares)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_root, zip(roots, shares)))
 
     best: Optional[tuple[Ratio, Graph]] = None
     complete = True
-    for part_best, part_nodes, part_done in outcomes:
-        nodes += part_nodes
-        complete = complete and part_done
-        if part_best is not None and _prefer(part_best, best):
-            best = part_best
+    for root, share in zip(roots, shares):
+        counter.limit = None if share is None else counter.count + share
+        part: Optional[tuple[Ratio, Graph]] = None
+        try:
+            for adj in _canonical_descendants(root, n, counter):
+                g = Graph(n, adj)
+                omega = clique_number(g).value
+                # chi <= n caps the ratio at n/omega; skip the chromatic solve
+                # when even that cannot beat or tie the subtree's incumbent.
+                if part is not None and n * part[0].den < part[0].num * omega:
+                    continue
+                cand = (Ratio(chromatic_number(g).value, omega), g)
+                if _prefer(cand, part):
+                    part = cand
+        except BudgetExceeded:
+            complete = False
+        if part is not None and _prefer(part, best):
+            best = part
     if best is None:
         raise BudgetExceeded("budget too small to score any graph")
     value, witness = best
-    meta = SearchMeta(nodes=nodes, strategy="exhaustive", seed=0)
+    meta = SearchMeta(nodes=counter.count, strategy="exhaustive", seed=0)
     return RatioRecord(n=n, value=value, witness=witness, exhaustive=complete, meta=meta)
 
 
@@ -442,8 +413,9 @@ def max_ratio_search(n: int, strategy: str = "hybrid", seed: int = 0,
     four seeded edge-flip chains from a random start; ``hybrid`` does both,
     annealing from the best construction. The budget counts candidate
     evaluations. Every evaluation uses exact invariants, so the result is
-    always a true lower bound; determinism depends only on (strategy, seed,
-    budget), never on the worker count.
+    always a true lower bound, determined by (strategy, seed, budget).
+    ``workers`` is validated but has no effect: the search runs in the
+    calling thread.
     """
     if not 1 <= n <= 64:
         raise ValueError(f"need 1 <= n <= 64, got {n}")
@@ -475,27 +447,10 @@ def max_ratio_search(n: int, strategy: str = "hybrid", seed: int = 0,
                       for i in range(_ANNEAL_CHAINS)]
         else:
             starts = [best[1]] * _ANNEAL_CHAINS
-        chain_args = [(starts[i], seed * 1000003 + i, chain_evals)
-                      for i in range(_ANNEAL_CHAINS)]
-
-        # Chains are merged through the order-insensitive preference rule, so
-        # any execution schedule yields the same record.
-        results: list[list[tuple[Ratio, Graph]]] = [[] for _ in range(_ANNEAL_CHAINS)]
-
-        def run_chain(idx: int) -> int:
-            start, chain_seed, evals = chain_args[idx]
-            return _anneal_chain(n, start, chain_seed, evals,
-                                 lambda r, g: results[idx].append((r, g)))
-
-        if workers == 1:
-            counts = [run_chain(i) for i in range(_ANNEAL_CHAINS)]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                counts = list(pool.map(run_chain, range(_ANNEAL_CHAINS)))
-        used += sum(counts)
-        for found in results:
-            for r, g in found:
-                record(r, g)
+        # The preference rule is a total order, so the winner does not depend
+        # on the order in which chains record their candidates.
+        for i, start in enumerate(starts):
+            used += _anneal_chain(n, start, seed * 1000003 + i, chain_evals, record)
 
     if best is None:
         # Degenerate budgets still certify the complete graph's ratio 1.
@@ -563,22 +518,12 @@ def verify_ratio_table(records: list[RatioRecord]) -> TableVerdict:
 
 def save_ratio_table(records: list[RatioRecord], path) -> None:
     """Write records as a JSON array, one object per line, ordered as given."""
-    lines = ",\n".join("  " + json.dumps(r.to_json_obj(), sort_keys=True) for r in records)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("[\n" + lines + "\n]\n")
+    write_records((r.to_json_obj() for r in records), path)
 
 
 def load_ratio_table(path) -> list[RatioRecord]:
     """Load a JSON array of ratio records, validating each entry."""
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: malformed JSON at line {exc.lineno}: {exc.msg}") from None
-    if not isinstance(data, list):
-        raise ValueError(f"{path}: expected a JSON array of records")
-    return [RatioRecord.from_json_obj(obj, where=f"{path}: record {i + 1}")
-            for i, obj in enumerate(data)]
+    return [RatioRecord.from_json_obj(obj, where=where) for where, obj in read_records(path)]
 
 
 def ratio_csv(records: list[RatioRecord]) -> str:
@@ -597,8 +542,4 @@ def export_ratio_csv(records: list[RatioRecord], path) -> None:
 
 def packaged_ratio_table() -> list[RatioRecord]:
     """The f(n) table shipped with the package (exhaustive for n <= 8)."""
-    import importlib.resources as resources
-
-    source = resources.files(__package__).joinpath("data/f_table.json")
-    with resources.as_file(source) as path:
-        return load_ratio_table(path)
+    return load_packaged("f_table.json", load_ratio_table)

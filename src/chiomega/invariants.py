@@ -3,7 +3,9 @@
 The clique solver is a branch-and-bound over vertex bitmasks with a greedy
 coloring upper bound; the chromatic solver is a DSATUR-style branch-and-bound
 seeded with the clique lower bound. Both are exact and deterministic: all
-tie-breaks are fixed, and witnesses are the lexicographically smallest ones.
+tie-breaks are fixed. Clique and independent-set witnesses are the
+lexicographically smallest ones; a coloring witness is the best coloring the
+fixed DSATUR order reaches, not necessarily the lexicographically smallest.
 """
 
 from __future__ import annotations

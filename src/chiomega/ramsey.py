@@ -12,10 +12,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
+from ._records import load_packaged, read_records, write_records
 from .graphs import Graph, from_edges, to_graph6
 from .invariants import BudgetExceeded, _exists_clique, clique_number
 
@@ -168,33 +168,18 @@ def query_bound(table: BoundsTable, s: int, t: int) -> Optional[RamseyBoundRecor
 
 def load_bounds_table(path) -> BoundsTable:
     """Load a JSON array of bound records, validating every entry."""
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: malformed JSON at line {exc.lineno}: {exc.msg}") from None
-    if not isinstance(data, list):
-        raise ValueError(f"{path}: expected a JSON array of records")
-    table = BoundsTable()
-    for i, obj in enumerate(data):
-        table.add(RamseyBoundRecord.from_json_obj(obj, where=f"{path}: record {i + 1}"))
-    return table
+    return BoundsTable(RamseyBoundRecord.from_json_obj(obj, where=where)
+                       for where, obj in read_records(path))
 
 
 def save_bounds_table(table: BoundsTable, path) -> None:
     """Write the table as a JSON array, one record per line, sorted by (s, t)."""
-    lines = ",\n".join("  " + json.dumps(r.to_json_obj(), sort_keys=True) for r in table.records())
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("[\n" + lines + "\n]\n")
+    write_records(table.to_json_obj(), path)
 
 
 def packaged_bounds_table() -> BoundsTable:
     """The bounds table shipped with the package (1 <= s <= t <= 10)."""
-    import importlib.resources as resources
-
-    source = resources.files(__package__).joinpath("data/ramsey_bounds.json")
-    with resources.as_file(source) as path:
-        return load_bounds_table(path)
+    return load_packaged("ramsey_bounds.json", load_bounds_table)
 
 
 def recurrence_closure(table: BoundsTable) -> BoundsTable:
@@ -449,15 +434,13 @@ def _verify_witness(red: Graph, s: int, t: int) -> None:
 _PARTITION_DEPTH = 4
 
 
-def _search_size(s: int, t: int, n: int, budget: Optional[int],
-                 workers: int) -> tuple[Optional[list[int]], int, bool]:
+def _search_size(s: int, t: int, n: int,
+                 budget: Optional[int]) -> tuple[Optional[list[int]], int, bool]:
     """Decide whether a valid coloring of K_n exists.
 
     Returns (witness red rows or None, nodes used, budget_exhausted). The
-    work splits into independent subtree partitions taken at a fixed depth;
-    the partition list, the per-partition budgets and the merge order are all
-    fixed before any partition runs, so the result — including the node
-    count — is identical for every worker count.
+    work splits into subtree partitions taken at a fixed depth, each with an
+    even share of the budget, searched in order until the first witness.
     """
     if n <= _PARTITION_DEPTH:
         search = _ColoringSearch(s, t, n, budget)
@@ -481,35 +464,17 @@ def _search_size(s: int, t: int, n: int, budget: Optional[int],
         base, extra = divmod(budget - scout.nodes, len(parts))
         shares = [base + (1 if i < extra else 0) for i in range(len(parts))]
 
-    def run_part(args):
-        (red, blue, pending), share = args
+    nodes = scout.nodes
+    exhausted = False
+    for (red, blue, pending), share in zip(parts, shares):
         sub = _ColoringSearch(s, t, n, share)
         try:
             found = sub.run_from(red, blue, pending, _PARTITION_DEPTH)
         except BudgetExceeded:
-            return None, sub.nodes, True
-        return (sub.witness if found else None), sub.nodes, False
-
-    if workers == 1:
-        # Sequential scan may stop at the first witness; the parallel path
-        # reproduces the same answer and node count by merging in order.
-        outcomes = []
-        for item in zip(parts, shares):
-            outcome = run_part(item)
-            outcomes.append(outcome)
-            if outcome[0] is not None:
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_part, zip(parts, shares)))
-
-    nodes = scout.nodes
-    exhausted = False
-    for witness, used, over in outcomes:
-        nodes += used
-        if witness is not None:
-            return witness, nodes, False
-        exhausted = exhausted or over
+            found, exhausted = False, True
+        nodes += sub.nodes
+        if found:
+            return sub.witness, nodes, False
     return None, nodes, exhausted
 
 
@@ -523,7 +488,8 @@ def ramsey_exact_small(s: int, t: int, n_max: int = 64,
     The first size with none is the exact value. If the node budget runs out
     or the size cap n_max is passed first, the result is the interval
     certified so far (upper bound None). Budgets count search nodes, so equal
-    inputs give equal results on any machine and any worker count.
+    inputs give equal results on any machine. ``workers`` is validated but
+    has no effect: the search runs in the calling thread.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -540,7 +506,7 @@ def ramsey_exact_small(s: int, t: int, n_max: int = 64,
         share = None if node_budget is None else node_budget - nodes
         if share is not None and share <= 0:
             return RamseyResult(s, t, lower, None, nodes, witness, budget_exhausted=True)
-        rows, used, over = _search_size(s, t, lower, share, workers)
+        rows, used, over = _search_size(s, t, lower, share)
         nodes += used
         if over:
             return RamseyResult(s, t, lower, None, nodes, witness, budget_exhausted=True)

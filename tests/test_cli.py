@@ -224,6 +224,18 @@ def test_threads_flag_does_not_change_output():
         assert base == run_cli(argv + ["--threads", "4"]), argv
 
 
+def test_import_loads_no_thread_pool():
+    # Every solver runs in the calling thread; importing the package and the
+    # CLI must not pull in executor machinery.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, chiomega, chiomega.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "chiomega.cli", "minprod", "--n", "20"],

@@ -71,6 +71,20 @@ def test_max_ratio_exact_rejects_big_n():
         max_ratio_exact(10, allow_nine=True)
     with pytest.raises(ValueError):
         max_ratio_exact(0)
+    with pytest.raises(ValueError):
+        max_ratio_exact(5, workers=0)
+
+
+# max_ratio_exact(7) under a budget: (budget, value, witness graph6, extension
+# tests, exhaustive). The budget is split over 11 subtrees, so records stay
+# partial even when fewer tests than the budget were spent.
+_F7_BUDGETED = [
+    (100, "1/1", "F????", 111, False),
+    (1000, "4/3", "FLr~o", 1011, False),
+    (5000, "3/2", "F@QM?", 3486, False),
+    (20000, "3/2", "F?Ch_", 8818, False),
+    (None, "3/2", "F?Ch_", 11290, True),
+]
 
 
 def test_max_ratio_exact_budget():
@@ -79,6 +93,10 @@ def test_max_ratio_exact_budget():
     partial = max_ratio_exact(6, node_budget=200)
     assert not partial.exhaustive
     assert partial.value >= Ratio(1, 1)
+    for budget, value, witness, nodes, exhaustive in _F7_BUDGETED:
+        rec = max_ratio_exact(7, node_budget=budget)
+        got = (str(rec.value), to_graph6(rec.witness), rec.meta.nodes, rec.exhaustive)
+        assert got == (value, witness, nodes, exhaustive), budget
 
 
 def test_max_ratio_exact_worker_independence():
@@ -122,6 +140,8 @@ def test_max_ratio_search_strategies():
         assert clique_number(rec.witness).value == rec.value.den
     with pytest.raises(ValueError):
         max_ratio_search(12, strategy="quantum")
+    with pytest.raises(ValueError):
+        max_ratio_search(12, workers=0)
 
 
 def test_max_ratio_search_finds_mycielski_level():

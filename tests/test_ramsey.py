@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from chiomega.graphs import from_graph6, paley_graph
+from chiomega.graphs import from_graph6, paley_graph, to_graph6
 from chiomega.invariants import clique_number
 from chiomega.ramsey import (
     BoundsTable,
@@ -211,12 +211,22 @@ def test_ramsey_33_against_brute_force():
     assert not _brute_arrowing(6, 3, 3)
 
 
+# ramsey_exact_small(3, 5) under a budget: (budget, lower, nodes, red witness).
+_R35_BUDGETED = [
+    (50, 9, 51, "G?~vf_"),
+    (5000, 11, 3399, "I?CaCFCw?"),
+    (200000, 12, 69153, "J?CaCFCyF_?"),
+]
+
+
 def test_ramsey_budget_returns_certified_interval():
-    result = ramsey_exact_small(3, 5, node_budget=50)
-    assert result.upper is None
-    assert result.budget_exhausted
-    assert result.lower >= trivial_lower_bound(3, 5)
-    assert result.witness_red.n == result.lower - 1
+    for budget, lower, nodes, red in _R35_BUDGETED:
+        result = ramsey_exact_small(3, 5, node_budget=budget)
+        assert result.upper is None
+        assert result.budget_exhausted
+        assert result.lower >= trivial_lower_bound(3, 5)
+        assert result.witness_red.n == result.lower - 1
+        assert (result.lower, result.nodes, to_graph6(result.witness_red)) == (lower, nodes, red)
 
 
 def test_ramsey_size_cap_returns_interval():
