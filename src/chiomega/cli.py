@@ -14,7 +14,8 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional
+from pathlib import Path
+from typing import Callable, Optional
 
 from . import conjectures, extremal, invariants, ramsey, rates
 from .graphs import from_graph6
@@ -28,8 +29,8 @@ BOUNDS_TABLE_ENV = "CHIOMEGA_RAMSEY_TABLE"
 F_TABLE_ENV = "CHIOMEGA_F_TABLE"
 
 
-class _CliError(Exception):
-    """User-facing input problem; message printed, exit code 1."""
+class _CliError(ValueError):
+    """User-facing input problem; main prints it like any ValueError and exits 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,36 +53,38 @@ def _parse_graph(args):
         raise _CliError(f"bad graph6 input: {exc}") from None
 
 
-def _load_bounds_table(args) -> ramsey.BoundsTable:
-    path = getattr(args, "table", None) or os.environ.get(BOUNDS_TABLE_ENV)
-    if path is None:
-        return ramsey.packaged_bounds_table()
-    try:
-        return ramsey.load_bounds_table(path)
-    except OSError as exc:
-        raise _CliError(f"cannot read bounds table: {exc}") from None
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
+# Table kind -> (environment variable, file loader, packaged table).
+_TABLES = {
+    "bounds": (BOUNDS_TABLE_ENV, ramsey.load_bounds_table, ramsey.packaged_bounds_table),
+    "ratio": (F_TABLE_ENV, extremal.load_ratio_table, extremal.packaged_ratio_table),
+}
 
 
-def _load_f_table(args) -> list[extremal.RatioRecord]:
-    path = getattr(args, "table", None) or os.environ.get(F_TABLE_ENV)
+def _load_table(args, kind: str):
+    """The table named by --table, else by its environment variable, else the packaged one."""
+    env, load, packaged = _TABLES[kind]
+    path = getattr(args, "table", None) or os.environ.get(env)
     if path is None:
-        return extremal.packaged_ratio_table()
+        return packaged()
     try:
-        return extremal.load_ratio_table(path)
+        return load(path)
     except OSError as exc:
-        raise _CliError(f"cannot read ratio table: {exc}") from None
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
+        raise _CliError(f"cannot read {kind} table: {exc}") from None
+
+
+def _write_file(path: str, write: Callable[[str], None]) -> None:
+    """Run ``write(path)``; a file that cannot be written is an input error."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise _CliError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _write_text(path: Optional[str], text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
+        _write_file(path, lambda p: Path(p).write_text(text, encoding="ascii"))
 
 
 # -- graph ------------------------------------------------------------------
@@ -168,7 +171,7 @@ def _cmd_ramsey_small(args) -> int:
 
 
 def _cmd_ramsey_bound(args) -> int:
-    table = _load_bounds_table(args)
+    table = _load_table(args, "bounds")
     rec = ramsey.query_bound(table, args.s, args.t)
     if rec is None:
         _emit({"s": args.s, "t": args.t, "found": False})
@@ -178,11 +181,11 @@ def _cmd_ramsey_bound(args) -> int:
 
 
 def _cmd_ramsey_table(args) -> int:
-    table = _load_bounds_table(args)
+    table = _load_table(args, "bounds")
     if args.closure:
         table = ramsey.recurrence_closure(table)
     if args.out is not None:
-        ramsey.save_bounds_table(table, args.out)
+        _write_file(args.out, lambda p: ramsey.save_bounds_table(table, p))
     else:
         for rec in table.records():
             _emit(rec.to_json_obj())
@@ -261,14 +264,14 @@ def _cmd_f_search(args) -> int:
 
 
 def _cmd_f_verify(args) -> int:
-    records = _load_f_table(args)
+    records = _load_table(args, "ratio")
     verdict = extremal.verify_ratio_table(records)
     _emit({"ok": verdict.ok, "problems": list(verdict.problems), "records": len(records)})
     return EXIT_OK if verdict.ok else EXIT_VERIFY_FAILURE
 
 
 def _cmd_f_curve(args) -> int:
-    records = _load_f_table(args)
+    records = _load_table(args, "ratio")
     _write_text(args.out, extremal.ratio_csv(records))
     return EXIT_OK
 
@@ -276,7 +279,7 @@ def _cmd_f_curve(args) -> int:
 def _cmd_report_envelope(args) -> int:
     if args.n_max < 2:
         raise _CliError("--n-max must be at least 2")
-    records = _load_f_table(args)
+    records = _load_table(args, "ratio")
     m_sq = rates.maximize_rate().phi_max_sq
     lines = ["n,f_lower,envelope_lower,envelope_upper"]
     best: Optional[extremal.Ratio] = None
@@ -303,7 +306,7 @@ _CHECKERS = {
 
 
 def _cmd_conjecture_check(args) -> int:
-    table = _load_bounds_table(args)
+    table = _load_table(args, "bounds")
     verdicts = _CHECKERS[args.conjecture](table, args.s_max)
     counts = {"consistent": 0, "violated": 0, "undecidable": 0, "confirmed": 0}
     for v in verdicts:
@@ -332,13 +335,13 @@ def _cmd_conjecture_implication(args) -> int:
 
 
 def _cmd_conjecture_rates(args) -> int:
-    table = _load_bounds_table(args)
+    table = _load_table(args, "bounds")
     _emit(conjectures.empirical_rates(table).to_json_obj())
     return EXIT_OK
 
 
 def _cmd_conjecture_fact23(args) -> int:
-    table = _load_bounds_table(args)
+    table = _load_table(args, "bounds")
     entries = conjectures.fact23_report(table)
     fails = 0
     undecidable = 0
@@ -366,9 +369,8 @@ def _add_threads(p) -> None:
 
 
 def _add_table(p, kind: str) -> None:
-    env = BOUNDS_TABLE_ENV if kind == "bounds" else F_TABLE_ENV
     p.add_argument("--table", default=None,
-                   help=f"table file (default: ${env} or the packaged table)")
+                   help=f"table file (default: ${_TABLES[kind][0]} or the packaged table)")
 
 
 def build_parser() -> _Parser:
@@ -444,10 +446,10 @@ def build_parser() -> _Parser:
     _add_threads(p)
     p.set_defaults(func=_cmd_f_search)
     p = f_sub.add_parser("verify", help="re-verify a ratio table's witnesses")
-    _add_table(p, "f")
+    _add_table(p, "ratio")
     p.set_defaults(func=_cmd_f_verify)
     p = f_sub.add_parser("curve", help="emit the ratio table as CSV")
-    _add_table(p, "f")
+    _add_table(p, "ratio")
     p.add_argument("--out", default=None, help="write CSV here instead of stdout")
     p.set_defaults(func=_cmd_f_curve)
 
@@ -477,7 +479,7 @@ def build_parser() -> _Parser:
     rep_sub = rep.add_subparsers(dest="subcommand", required=True, metavar="SUBCOMMAND")
     p = rep_sub.add_parser("envelope", help="f lower bounds vs the asymptotic envelope")
     p.add_argument("--n-max", type=int, required=True)
-    _add_table(p, "f")
+    _add_table(p, "ratio")
     p.add_argument("--out", default=None, help="write CSV here instead of stdout")
     p.set_defaults(func=_cmd_report_envelope)
 
@@ -492,9 +494,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _CliError as exc:
-        print(f"chiomega: error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except invariants.BudgetExceeded as exc:
         print(f"chiomega: error: {exc or 'budget too small'}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -28,7 +28,8 @@ from .graphs import (
     random_graph,
     to_graph6,
 )
-from .invariants import BudgetExceeded, chromatic_number, clique_number, independence_number
+from .invariants import (BudgetExceeded, _Counter, _even_shares, chromatic_number, clique_number,
+                          independence_number)
 
 __all__ = [
     "Ratio",
@@ -211,21 +212,6 @@ def _extend(adj: tuple[int, ...], mask: int) -> tuple[int, ...]:
     return tuple((row | bit if mask >> v & 1 else row) for v, row in enumerate(adj)) + (mask,)
 
 
-class _Counter:
-    """Counts extension tests and raises BudgetExceeded past ``limit``."""
-
-    __slots__ = ("count", "limit")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.limit: Optional[int] = None
-
-    def tick(self) -> None:
-        self.count += 1
-        if self.limit is not None and self.count > self.limit:
-            raise BudgetExceeded
-
-
 def _canonical_descendants(adj: tuple[int, ...], n: int,
                            counter: _Counter) -> Iterator[tuple[int, ...]]:
     """The canonical graphs on n vertices below ``adj`` in the extension tree.
@@ -295,15 +281,12 @@ def max_ratio_exact(n: int, node_budget: Optional[int] = None, workers: int = 1,
         roots = [(0,)]
     else:
         roots = list(_canonical_descendants((0,), _ROOT_SIZE, counter))
-    shares: list[Optional[int]] = [None] * len(roots)
-    if node_budget is not None:
-        base, extra = divmod(max(0, node_budget - counter.count), len(roots))
-        shares = [base + (1 if i < extra else 0) for i in range(len(roots))]
+    left = None if node_budget is None else node_budget - counter.count
 
     best: Optional[tuple[Ratio, Graph]] = None
     complete = True
-    for root, share in zip(roots, shares):
-        counter.limit = None if share is None else counter.count + share
+    for root, share in zip(roots, _even_shares(left, len(roots))):
+        counter.allow(share)
         part: Optional[tuple[Ratio, Graph]] = None
         try:
             for adj in _canonical_descendants(root, n, counter):

@@ -17,7 +17,8 @@ from typing import Iterable, Optional
 
 from ._records import load_packaged, read_records, write_records
 from .graphs import Graph, from_edges, to_graph6
-from .invariants import BudgetExceeded, _exists_clique, clique_number
+from .invariants import (BudgetExceeded, _Counter, _even_shares, _exists_clique, clique_number,
+                         independence_number)
 
 __all__ = [
     "RamseyBoundRecord",
@@ -235,8 +236,6 @@ def lower_bound_from_graph(g: Graph, source: str = "") -> RamseyBoundRecord:
     The graph itself (red = edges, blue = non-edges) avoids red K_{omega+1}
     and blue K_{alpha+1}. The record's upper bound is the binomial bound.
     """
-    from .invariants import independence_number
-
     omega = clique_number(g).value
     alpha = independence_number(g).value
     s, t = sorted((omega + 1, alpha + 1))
@@ -295,23 +294,18 @@ class _ColoringSearch:
     smaller (blue < red, columns in vertex order), so only one labeled
     representative per tracked symmetry survives. The lexicographically
     smallest valid coloring is never rejected, which keeps both existence and
-    nonexistence conclusions sound.
+    nonexistence conclusions sound. Every row step ticks ``counter``, which
+    holds the node count and budget of all searches of one size.
     """
 
-    def __init__(self, s: int, t: int, n: int, budget: Optional[int] = None) -> None:
+    def __init__(self, s: int, t: int, n: int, counter: _Counter) -> None:
         self.s, self.t, self.n = s, t, n
         self.red = [0] * n
         self.blue = [0] * n
-        self.budget = budget
-        self.nodes = 0
+        self.counter = counter
         self.witness: Optional[list[int]] = None
         self.stop_depth: Optional[int] = None
         self.snapshots: list[tuple[list[int], list[int], list[tuple[int, int]]]] = []
-
-    def _tick(self) -> None:
-        self.nodes += 1
-        if self.budget is not None and self.nodes > self.budget:
-            raise BudgetExceeded
 
     def run(self) -> bool:
         """Search from the root; True iff a full valid coloring was found."""
@@ -335,7 +329,7 @@ class _ColoringSearch:
 
     def _row(self, v: int, u: int, rmask: int, bmask: int,
              pending: list[tuple[int, int]]) -> bool:
-        self._tick()
+        self.counter.tick()
         if u == v:
             return self._complete_row(v, rmask, bmask, pending)
         # Blue first: blue bits sort lexicographically below red ones.
@@ -438,44 +432,35 @@ def _search_size(s: int, t: int, n: int,
                  budget: Optional[int]) -> tuple[Optional[list[int]], int, bool]:
     """Decide whether a valid coloring of K_n exists.
 
-    Returns (witness red rows or None, nodes used, budget_exhausted). The
-    work splits into subtree partitions taken at a fixed depth, each with an
-    even share of the budget, searched in order until the first witness.
+    Returns (witness red rows or None, nodes used, budget_exhausted). A scout
+    collects the subtree partitions at a fixed depth, or decides n at or below
+    it. The partitions are searched in order until the first witness, on the
+    scout's counter, each with an even share of the budget the scout left.
     """
-    if n <= _PARTITION_DEPTH:
-        search = _ColoringSearch(s, t, n, budget)
-        try:
-            found = search.run()
-        except BudgetExceeded:
-            return None, search.nodes, True
-        return (search.witness if found else None), search.nodes, False
-
-    scout = _ColoringSearch(s, t, n, budget)
+    counter = _Counter()
+    counter.allow(budget)
+    scout = _ColoringSearch(s, t, n, counter)
     scout.stop_depth = _PARTITION_DEPTH
     try:
-        scout.run()
+        if scout.run():
+            return scout.witness, counter.count, False
     except BudgetExceeded:
-        return None, scout.nodes, True
+        return None, counter.count, True
     parts = scout.snapshots
     if not parts:
-        return None, scout.nodes, False
-    shares: list[Optional[int]] = [None] * len(parts)
-    if budget is not None:
-        base, extra = divmod(budget - scout.nodes, len(parts))
-        shares = [base + (1 if i < extra else 0) for i in range(len(parts))]
+        return None, counter.count, False
+    left = None if budget is None else budget - counter.count
 
-    nodes = scout.nodes
     exhausted = False
-    for (red, blue, pending), share in zip(parts, shares):
-        sub = _ColoringSearch(s, t, n, share)
+    for (red, blue, pending), share in zip(parts, _even_shares(left, len(parts))):
+        counter.allow(share)
+        sub = _ColoringSearch(s, t, n, counter)
         try:
-            found = sub.run_from(red, blue, pending, _PARTITION_DEPTH)
+            if sub.run_from(red, blue, pending, _PARTITION_DEPTH):
+                return sub.witness, counter.count, False
         except BudgetExceeded:
-            found, exhausted = False, True
-        nodes += sub.nodes
-        if found:
-            return sub.witness, nodes, False
-    return None, nodes, exhausted
+            exhausted = True
+    return None, counter.count, exhausted
 
 
 def ramsey_exact_small(s: int, t: int, n_max: int = 64,

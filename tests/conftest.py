@@ -37,6 +37,25 @@ def brute_alpha(g: Graph) -> int:
     return brute_omega(g.complement())
 
 
+def brute_first_max_clique(g: Graph, within=None) -> tuple[int, ...]:
+    """The first maximum clique inside ``within`` (default: all vertices) in
+    ``itertools.combinations`` order.
+
+    Sizes go up from 1 and stop at the first size with no clique; cliques are
+    closed under subsets, so the last size found is the maximum.
+    """
+    verts = sorted(range(g.n) if within is None else within)
+    best: tuple[int, ...] = ()
+    for r in range(1, len(verts) + 1):
+        first = next((subset for subset in itertools.combinations(verts, r)
+                      if all(g.has_edge(i, j) for i, j in itertools.combinations(subset, 2))),
+                     None)
+        if first is None:
+            break
+        best = first
+    return best
+
+
 def brute_chi(g: Graph) -> int:
     """Smallest k admitting a proper k-coloring, by exhaustive assignment."""
     if g.n == 0:

@@ -166,7 +166,7 @@ def test_conjecture_violation_exits_three(tmp_path):
     assert _json_lines(out)[-1]["summary"]["counts"]["violated"] >= 1
 
 
-def test_input_errors_exit_one():
+def test_input_errors_exit_one(tmp_path, capsys):
     for argv in (
         ["constants", "--nope"],
         ["graph", "stats", "--graph6", "!!"],
@@ -178,6 +178,19 @@ def test_input_errors_exit_one():
     ):
         code, _ = run_cli(argv)
         assert code == 1, argv
+    # A file that cannot be written is an input error with a one-line message.
+    missing = tmp_path / "no-such-dir" / "out"
+    capsys.readouterr()
+    for argv in (
+        ["f", "curve", "--out", str(missing)],
+        ["report", "envelope", "--n-max", "5", "--out", str(missing)],
+        ["ramsey", "table", "--out", str(missing)],
+    ):
+        code, out = run_cli(argv)
+        err = capsys.readouterr().err
+        assert code == 1 and out == "", argv
+        assert err == f"chiomega: error: cannot write {missing}: No such file or directory\n", argv
+        assert "Traceback" not in err
 
 
 def test_help_exits_zero():

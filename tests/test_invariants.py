@@ -11,7 +11,7 @@ from chiomega.invariants import (
     independence_number,
     is_proper_coloring,
 )
-from conftest import brute_alpha, brute_chi, brute_omega, named_graphs
+from conftest import brute_alpha, brute_chi, brute_first_max_clique, brute_omega, named_graphs
 
 
 def test_clique_number_against_brute_force():
@@ -24,6 +24,8 @@ def test_clique_number_against_brute_force():
         members = [v for v in range(g.n) if result.witness >> v & 1]
         assert len(members) == result.value
         assert all(g.has_edge(u, v) for i, u in enumerate(members) for v in members[i + 1:])
+        # ... and the first maximum clique in itertools.combinations order.
+        assert tuple(members) == brute_first_max_clique(g)
 
 
 def test_independence_number_against_brute_force():
@@ -34,6 +36,24 @@ def test_independence_number_against_brute_force():
         members = [v for v in range(g.n) if result.witness >> v & 1]
         assert len(members) == result.value
         assert not any(g.has_edge(u, v) for i, u in enumerate(members) for v in members[i + 1:])
+        assert tuple(members) == brute_first_max_clique(g.complement())
+
+
+def test_greedy_classes_are_lex_smallest_independent_sets():
+    # The combinations oracle is exponential in the set size, so the graphs
+    # stay small: on the 23-vertex double Mycielski graph it takes seconds.
+    graphs = [random_graph(2 + seed % 8, (0.2, 0.5, 0.8)[seed % 3], seed=600 + seed)
+              for seed in range(40)]
+    graphs += [g for g in named_graphs().values() if g.n <= 17]
+    for g in graphs:
+        cert, stats = greedy_erdos_coloring(g, 1)
+        remaining = set(range(g.n))
+        for color, size in enumerate(stats.extracted_sizes):
+            cls = tuple(v for v in range(g.n) if cert.colors[v] == color)
+            assert cls == brute_first_max_clique(g.complement(), remaining)
+            assert len(cls) == size
+            remaining -= set(cls)
+        assert not remaining
 
 
 def test_chromatic_number_against_brute_force():
@@ -44,6 +64,10 @@ def test_chromatic_number_against_brute_force():
         assert result.value == brute_chi(g)
         assert is_proper_coloring(g, result.witness)
         assert result.witness.num_colors == result.value
+
+
+def _members(mask):
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 def test_named_graph_invariants():
@@ -68,6 +92,10 @@ def test_named_graph_invariants():
         assert clique_number(g).value == omega, name
         assert independence_number(g).value == alpha, name
         assert chromatic_number(g).value == chi, name
+        # Witnesses are the first maximum sets in itertools.combinations order.
+        assert _members(clique_number(g).witness) == brute_first_max_clique(g), name
+        assert (_members(independence_number(g).witness)
+                == brute_first_max_clique(g.complement())), name
 
 
 def test_mycielski_raises_chi_but_not_omega():

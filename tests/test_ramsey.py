@@ -158,12 +158,18 @@ def test_lower_bound_from_paley_17():
     assert rec.upper == erdos_szekeres_bound(4, 4)
 
 
+# Search nodes spent by ramsey_exact_small(2, t), t = 2..6.
+_R2T_NODES = {2: 2, 3: 5, 4: 9, 5: 14, 6: 20}
+
+
 def test_ramsey_r2t_is_t():
     for t in range(2, 11):
         result = ramsey_exact_small(2, t)
         assert result.exact and result.value == t
         # The witness on t-1 vertices: red empty, blue complete.
         assert result.witness_red.num_edges() == 0
+        if t in _R2T_NODES:
+            assert result.nodes == _R2T_NODES[t], t
 
 
 def test_ramsey_validation():
@@ -219,14 +225,25 @@ _R35_BUDGETED = [
 ]
 
 
+# ramsey_exact_small(3, 4) under a budget: (budget, lower, nodes, red witness).
+_R34_BUDGETED = [
+    (1, 7, 2, "EFz_"),
+    (10, 7, 11, "EFz_"),
+    (100, 7, 106, "EFz_"),
+    (1000, 8, 745, "F@QM?"),
+]
+
+
 def test_ramsey_budget_returns_certified_interval():
-    for budget, lower, nodes, red in _R35_BUDGETED:
-        result = ramsey_exact_small(3, 5, node_budget=budget)
-        assert result.upper is None
-        assert result.budget_exhausted
-        assert result.lower >= trivial_lower_bound(3, 5)
-        assert result.witness_red.n == result.lower - 1
-        assert (result.lower, result.nodes, to_graph6(result.witness_red)) == (lower, nodes, red)
+    for t, pins in ((5, _R35_BUDGETED), (4, _R34_BUDGETED)):
+        for budget, lower, nodes, red in pins:
+            result = ramsey_exact_small(3, t, node_budget=budget)
+            assert result.upper is None
+            assert result.budget_exhausted
+            assert result.lower >= trivial_lower_bound(3, t)
+            assert result.witness_red.n == result.lower - 1
+            assert ((result.lower, result.nodes, to_graph6(result.witness_red))
+                    == (lower, nodes, red)), (t, budget)
 
 
 def test_ramsey_size_cap_returns_interval():
