@@ -2,7 +2,8 @@
 
 The pinned outputs in ``cli_transcript.json`` cover the exhaustive f(n) and
 Ramsey searches (with and without budgets), the seeded f search, the bounds
-table closure, table verification and the single-graph commands. A change
+table and its closure, table verification, the single-graph commands, the
+conjecture checks and reports, the rate constants and the f curve. A change
 that alters any of them must be deliberate: regenerate the file with
 
     PYTHONPATH=src python tests/test_cli_transcript.py
@@ -29,6 +30,9 @@ def transcript_commands() -> list[list[str]]:
     cmds += [["ramsey", "table", "--closure"], ["f", "verify"]]
     for g6 in ("Dhc", to_graph6(petersen_graph())):
         cmds += [["graph", sub, "--graph6", g6] for sub in ("stats", "color", "greedy")]
+    cmds += [["ramsey", "table"], ["ramsey", "bound", "--s", "3", "--t", "5"]]
+    cmds += [["conjecture", c, "--s-max", "5"] for c in ("rdc", "weak-mult")]
+    cmds += [["conjecture", "rates"], ["conjecture", "fact23"], ["constants"], ["f", "curve"]]
     return cmds
 
 
