@@ -1,4 +1,4 @@
-"""JSON-array record files: the on-disk form of the ratio and bounds tables."""
+"""The JSON boundary: the one field reader, the one encoder, and the table files."""
 
 from __future__ import annotations
 
@@ -8,9 +8,32 @@ from typing import Callable, Iterable, TypeVar
 T = TypeVar("T")
 
 
+def dumps(obj) -> str:
+    """One JSON line with sorted keys; NaN and infinities are refused."""
+    return json.dumps(obj, sort_keys=True, allow_nan=False)
+
+
+def read_fields(obj, where: str, *fields) -> list:
+    """The values of ``fields``, each ``(name, type)`` or ``(name, type, default)``,
+    in the JSON object ``obj``. A value must have exactly its type: 3.9 and true
+    are not ints, "false" is not a bool. ``where`` prefixes every error.
+    """
+    if type(obj) is not dict:
+        raise ValueError(f"{where}: expected an object, got {type(obj).__name__}")
+    values = []
+    for name, kind, *default in fields:
+        if name not in obj and not default:
+            raise ValueError(f"{where}: missing field {name!r}")
+        value = obj.get(name, *default)
+        if name in obj and type(value) is not kind:
+            raise ValueError(f"{where}: field {name!r} must be {kind.__name__}, got {value!r}")
+        values.append(value)
+    return values
+
+
 def write_records(objs: Iterable[dict], path) -> None:
     """Write objects as a JSON array, one sorted-key object per line."""
-    lines = ",\n".join("  " + json.dumps(obj, sort_keys=True) for obj in objs)
+    lines = ",\n".join("  " + dumps(obj) for obj in objs)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("[\n" + lines + "\n]\n")
 

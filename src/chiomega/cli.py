@@ -11,13 +11,13 @@ effect: every solver runs in the calling thread.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 from typing import Callable, Optional
 
 from . import conjectures, extremal, invariants, ramsey, rates
+from ._records import dumps
 from .graphs import from_graph6
 
 EXIT_OK = 0
@@ -43,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
+    print(dumps(obj))
 
 
 def _parse_graph(args):
@@ -415,7 +415,8 @@ def build_parser() -> _Parser:
 
     p = top.add_parser("constants", help="rate-function maximum and diagonal constant")
     p.add_argument("--delta", type=float, default=rates.DEFAULT_DELTA)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help=f"search bracket width, at least {rates.MIN_TOL:g} (default 1e-10)")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=_cmd_constants)
 

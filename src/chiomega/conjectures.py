@@ -13,7 +13,7 @@ the provenance hash of the table it was judged against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .ramsey import BoundsTable, RamseyBoundRecord, recurrence_closure
@@ -55,13 +55,9 @@ class ConjectureVerdict:
     table_hash: str
 
     def to_json_obj(self) -> dict:
-        return {
-            "instance": {"kind": self.kind, "lhs": list(self.lhs), "rhs": list(self.rhs)},
-            "status": self.status,
-            "confirmed": self.confirmed,
-            "evidence": self.evidence,
-            "table_hash": self.table_hash,
-        }
+        obj = asdict(self)
+        obj["instance"] = {key: obj.pop(key) for key in ("kind", "lhs", "rhs")}
+        return obj
 
 
 def _bounds_evidence(rec: Optional[RamseyBoundRecord]) -> Optional[dict]:
@@ -176,13 +172,7 @@ class RateEntry:
     rate_hi: float
 
     def to_json_obj(self) -> dict:
-        return {
-            "s": self.s,
-            "t": self.t,
-            "exact": self.exact,
-            "rate_lo": self.rate_lo,
-            "rate_hi": self.rate_hi,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -200,12 +190,7 @@ class EmpiricalRates:
     max_diagonal_rate: Optional[float]
 
     def to_json_obj(self) -> dict:
-        return {
-            "table_hash": self.table_hash,
-            "entries": [e.to_json_obj() for e in self.entries],
-            "max_rate": self.max_rate,
-            "max_diagonal_rate": self.max_diagonal_rate,
-        }
+        return asdict(self)
 
 
 def empirical_rates(table: BoundsTable) -> EmpiricalRates:
@@ -243,8 +228,7 @@ class Fact23Entry:
     holds: Optional[bool]
 
     def to_json_obj(self) -> dict:
-        return {"s": self.s, "t": self.t, "k": self.k,
-                "lhs": self.lhs, "rhs": self.rhs, "holds": self.holds}
+        return asdict(self)
 
 
 def fact23_report(table: BoundsTable) -> tuple[Fact23Entry, ...]:

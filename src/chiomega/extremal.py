@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
-from ._records import load_packaged, read_records, write_records
+from ._records import load_packaged, read_fields, read_records, write_records
 from .graphs import (
     Graph,
     complete_graph,
@@ -125,15 +125,13 @@ class RatioRecord:
 
     @classmethod
     def from_json_obj(cls, obj: dict, where: str = "record") -> "RatioRecord":
+        n, chi, omega, witness, exhaustive, seed = read_fields(
+            obj, where, ("n", int), ("chi", int), ("omega", int), ("witness_graph6", str),
+            ("exhaustive", bool), ("seed", int, 0))
         try:
-            return cls(
-                n=int(obj["n"]),
-                value=Ratio(int(obj["chi"]), int(obj["omega"])),
-                witness=from_graph6(obj["witness_graph6"]),
-                exhaustive=bool(obj["exhaustive"]),
-                meta=SearchMeta(seed=int(obj.get("seed", 0))),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(n, Ratio(chi, omega), from_graph6(witness), exhaustive,
+                       SearchMeta(seed=seed))
+        except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from ._records import read_fields
+
 MAX_VERTICES = 64
 
 
@@ -304,6 +306,8 @@ def to_json_obj(g: Graph) -> dict:
 
 
 def from_json_obj(obj: dict) -> Graph:
-    if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
-        raise ValueError('expected an object of the form {"n": int, "edges": [[i,j],...]}')
-    return from_edges(int(obj["n"]), [(int(i), int(j)) for i, j in obj["edges"]])
+    n, edges = read_fields(obj, "graph", ("n", int), ("edges", list))
+    for edge in edges:
+        if type(edge) is not list or [type(v) for v in edge] != [int, int]:
+            raise ValueError(f"graph: field 'edges' must hold [int, int] pairs, got {edge!r}")
+    return from_edges(n, edges)

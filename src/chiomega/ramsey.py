@@ -12,10 +12,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Optional
 
-from ._records import load_packaged, read_records, write_records
+from ._records import load_packaged, read_fields, read_records, write_records
 from .graphs import Graph, from_edges, to_graph6
 from .invariants import (BudgetExceeded, _Counter, _even_shares, _exists_clique, clique_number,
                          independence_number)
@@ -82,24 +82,12 @@ class RamseyBoundRecord:
         return self.lower == self.upper
 
     def to_json_obj(self) -> dict:
-        return {
-            "s": self.s,
-            "t": self.t,
-            "lower": self.lower,
-            "upper": self.upper,
-            "source": self.source,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_obj(cls, obj: dict, where: str = "record") -> "RamseyBoundRecord":
-        if not isinstance(obj, dict):
-            raise ValueError(f"{where}: expected an object, got {type(obj).__name__}")
-        try:
-            s, t = int(obj["s"]), int(obj["t"])
-            lower, upper = int(obj["lower"]), int(obj["upper"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{where}: missing or non-integer field ({exc})") from None
-        source = str(obj.get("source", ""))
+        s, t, lower, upper, source = read_fields(obj, where, ("s", int), ("t", int), ("lower", int),
+                                                 ("upper", int), ("source", str, ""))
         if s > t:
             s, t = t, s
         try:

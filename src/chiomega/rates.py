@@ -13,10 +13,13 @@ to the classical constant 4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 DEFAULT_DELTA = 0.14 / math.e
+# Smallest bracket width the searches accept: their brackets lie in (0, 1/2],
+# where doubles are at most 2**-54 apart, so a width this size still shrinks.
+MIN_TOL = 1e-15
 _LOG2E = math.log2(math.e)
 
 
@@ -27,8 +30,8 @@ class RateParams:
     delta: float = DEFAULT_DELTA
 
     def __post_init__(self) -> None:
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+        if not 0 <= self.delta < math.inf:
+            raise ValueError(f"delta must be finite and nonnegative, got {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -46,17 +49,9 @@ class ConstantsReport:
     tolerance: float
 
     def as_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "x_star": self.x_star,
-            "phi_max": self.phi_max,
-            "phi_max_sq": self.phi_max_sq,
-            "diagonal_constant": self.diagonal_constant,
-            "bracket": list(self.bracket),
-            "stationary_root": self.stationary_root,
-            "roots_agree": self.roots_agree,
-            "tol": self.tolerance,
-        }
+        obj = asdict(self)
+        obj["tol"] = obj.pop("tolerance")
+        return obj
 
 
 def entropy(x: float) -> float:
@@ -162,8 +157,8 @@ def maximize_rate(params: RateParams = RateParams(), tol: float = 1e-10) -> Cons
     condition is solved independently by bisection and both locations are
     reported. ``roots_agree`` is False if they differ by more than 10*tol.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not MIN_TOL <= tol < math.inf:
+        raise ValueError(f"tol must be finite and at least {MIN_TOL:g}, got {tol}")
     f = lambda x: rate_function(x, params)
     res = lambda x: stationarity_residual(x, params)
 
@@ -184,7 +179,8 @@ def maximize_rate(params: RateParams = RateParams(), tol: float = 1e-10) -> Cons
         while res(lo) <= 0.0:
             lo /= 2.0
             if lo < 1e-12:
-                raise ArithmeticError("no sign change found for the stationarity residual")
+                raise ValueError(f"no sign change of the stationarity residual above 1e-12 "
+                                 f"(delta = {params.delta} is too large)")
         root, blo, bhi = _bisect_root(res, lo, 0.5, tol)
 
     return ConstantsReport(

@@ -3,7 +3,9 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+import chiomega
 from chiomega.extremal import RatioRecord, packaged_ratio_table, ratio_csv, save_ratio_table
 from chiomega.graphs import cycle_graph, from_graph6, to_graph6
 from chiomega.ramsey import BoundsTable, RamseyBoundRecord, save_bounds_table
@@ -191,6 +193,37 @@ def test_input_errors_exit_one(tmp_path, capsys):
         assert code == 1 and out == "", argv
         assert err == f"chiomega: error: cannot write {missing}: No such file or directory\n", argv
         assert "Traceback" not in err
+    # A table record whose field has the wrong JSON type is an input error.
+    shipped = json.loads((Path(chiomega.__file__).parent / "data" / "f_table.json").read_text())
+    shipped[4]["chi"] = 3.9
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(shipped), encoding="ascii")
+    code, out = run_cli(["f", "verify", "--table", str(tampered)])
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err == f"chiomega: error: {tampered}: record 5: field 'chi' must be int, got 3.9\n"
+    # Rate inputs out of range are input errors too, never NaN or a traceback.
+    for argv, message in (
+        (["constants", "--delta", "100"], "no sign change of the stationarity residual"),
+        (["constants", "--delta", "inf"], "delta must be finite and nonnegative, got inf"),
+        (["constants", "--delta", "nan"], "delta must be finite and nonnegative, got nan"),
+        (["constants", "--tol", "nan"], "tol must be finite and at least 1e-15, got nan"),
+        (["constants", "--tol", "inf"], "tol must be finite and at least 1e-15, got inf"),
+        (["phi", "--x", "0.3", "--delta", "nan"], "delta must be finite and nonnegative, got nan"),
+        (["phi", "--x", "0.3", "--delta", "inf"], "delta must be finite and nonnegative, got inf"),
+    ):
+        code, out = run_cli(argv)
+        err = capsys.readouterr().err
+        assert code == 1 and out == "", argv
+        assert err.startswith(f"chiomega: error: {message}") and err.count("\n") == 1, (argv, err)
+    # A bracket narrower than the doubles can split never shrinks: the search
+    # would loop forever, so the run is bounded by a timeout here.
+    proc = subprocess.run(
+        [sys.executable, "-m", "chiomega.cli", "constants", "--tol", "1e-20"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "chiomega: error: tol must be finite and at least 1e-15, got 1e-20\n"
 
 
 def test_help_exits_zero():

@@ -1,6 +1,7 @@
 """Exact f(n) enumeration, ratio arithmetic, search heuristics, and the table."""
 
 import math
+import re
 
 import pytest
 
@@ -128,6 +129,20 @@ def test_ratio_record_json_roundtrip():
     assert to_graph6(again.witness) == obj["witness_graph6"]
     with pytest.raises(ValueError):
         RatioRecord.from_json_obj({"n": 5})
+    for bad, message in (
+        (dict(obj, chi=3.9), "record: field 'chi' must be int, got 3.9"),
+        (dict(obj, exhaustive="false"), "record: field 'exhaustive' must be bool, got 'false'"),
+        (dict(obj, n=5.0), "record: field 'n' must be int, got 5.0"),
+        (dict(obj, seed=False), "record: field 'seed' must be int, got False"),
+        (dict(obj, witness_graph6=None), "record: field 'witness_graph6' must be str, got None"),
+        ([5, 3, 2, "DLo", True], "record: expected an object, got list"),
+        ({"n": 5}, "record: missing field 'chi'"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RatioRecord.from_json_obj(bad)
+    # A record's own checks keep the place prefix.
+    with pytest.raises(ValueError, match="record 3: need num >= den"):
+        RatioRecord.from_json_obj(dict(obj, chi=1), where="record 3")
 
 
 def test_max_ratio_search_strategies():

@@ -1,5 +1,7 @@
 """Bitset graph type, constructions, and graph6 serialization."""
 
+import re
+
 import pytest
 
 from chiomega.graphs import (
@@ -175,3 +177,18 @@ def test_json_roundtrip():
 
     g = random_graph(9, 0.5, seed=2)
     assert from_json_obj(to_json_obj(g)) == g
+    for bad, message in (
+        ({"n": 5.0, "edges": []}, "graph: field 'n' must be int, got 5.0"),
+        ({"n": True, "edges": []}, "graph: field 'n' must be int, got True"),
+        ({"n": 3, "edges": [[0, 1.0]]},
+         "graph: field 'edges' must hold [int, int] pairs, got [0, 1.0]"),
+        ({"n": 3, "edges": [[0, True]]}, "graph: field 'edges' must hold [int, int] pairs"),
+        ({"n": 3, "edges": [[0, 1, 2]]}, "graph: field 'edges' must hold [int, int] pairs"),
+        ({"n": 3, "edges": ["01"]}, "graph: field 'edges' must hold [int, int] pairs"),
+        ({"n": 3, "edges": [{0: 1, 1: 2}]}, "graph: field 'edges' must hold [int, int] pairs"),
+        ({"n": 3, "edges": {}}, "graph: field 'edges' must be list, got {}"),
+        ({"n": 3}, "graph: missing field 'edges'"),
+        ([3, []], "graph: expected an object, got list"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            from_json_obj(bad)

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 
 import pytest
 
@@ -121,6 +122,19 @@ def test_load_rejects_malformed(tmp_path):
     path.write_text("{}", encoding="ascii")
     with pytest.raises(ValueError, match="array"):
         load_bounds_table(path)
+    # Fields need exact JSON types: no float, bool or string stands in for an int.
+    good = {"s": 3, "t": 3, "lower": 6, "upper": 6, "source": ""}
+    for bad, message in (
+        (dict(good, lower=2.7), "record 2: field 'lower' must be int, got 2.7"),
+        (dict(good, s=True), "record 2: field 's' must be int, got True"),
+        (dict(good, upper="6"), "record 2: field 'upper' must be int, got '6'"),
+        (dict(good, source=None), "record 2: field 'source' must be str, got None"),
+        ([3, 3, 6, 6], "record 2: expected an object, got list"),
+        ({"s": 3, "t": 4, "lower": 9}, "record 2: missing field 'upper'"),
+    ):
+        path.write_text(json.dumps([good, bad]), encoding="ascii")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_bounds_table(path)
 
 
 def test_recurrence_closure_derives_uppers():

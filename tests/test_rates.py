@@ -7,6 +7,7 @@ import pytest
 from chiomega.ramsey import BoundsTable, RamseyBoundRecord, packaged_bounds_table
 from chiomega.rates import (
     DEFAULT_DELTA,
+    MIN_TOL,
     RateParams,
     diagonal_constant,
     diagonal_ramsey_index,
@@ -50,8 +51,9 @@ def test_rate_function_delta_zero_peaks_at_half():
         rate_function(0.0, flat)
     with pytest.raises(ValueError):
         rate_function(1.0, flat)
-    with pytest.raises(ValueError):
-        RateParams(delta=-0.5)
+    for delta in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="delta must be finite and nonnegative"):
+            RateParams(delta=delta)
 
 
 def test_maximize_rate_reproduces_constants():
@@ -75,6 +77,21 @@ def test_maximize_rate_delta_zero_recovers_four():
     assert abs(report.phi_max_sq - 4.0) <= 1e-9
     assert abs(report.x_star - 0.5) <= 1e-6
     assert diagonal_constant(RateParams(delta=0.0)) == 4.0
+
+
+def test_maximize_rate_rejects_unusable_inputs():
+    # A search with tol = 1e-16 still ends without the check; 1e-20 would not,
+    # so test_cli runs that one in a subprocess with a timeout.
+    for tol in (0.0, 1e-16, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be finite and at least 1e-15"):
+            maximize_rate(tol=tol)
+    # The residual's sign change lies below 1e-12 for so large a delta.
+    with pytest.raises(ValueError, match="no sign change"):
+        maximize_rate(RateParams(delta=100.0))
+    # The floor itself still ends, with the same constants.
+    report = maximize_rate(tol=MIN_TOL)
+    assert report.bracket[1] - report.bracket[0] <= MIN_TOL
+    assert abs(report.phi_max_sq - maximize_rate().phi_max_sq) <= 1e-12
 
 
 def test_stationarity_residual_has_one_sign_change():
