@@ -3,8 +3,9 @@
 The pinned outputs in ``cli_transcript.json`` cover the exhaustive f(n) and
 Ramsey searches (with and without budgets), the seeded f search, the bounds
 table and its closure, table verification, the single-graph commands, the
-conjecture checks and reports, the rate constants and the f curve. A change
-that alters any of them must be deliberate: regenerate the file with
+conjecture checks and reports, the rate constants (default, as text, and at
+delta 0 and 20), the f curve and the ratio envelope. A change that alters any
+of them must be deliberate: regenerate the file with
 
     PYTHONPATH=src python tests/test_cli_transcript.py
 
@@ -33,6 +34,8 @@ def transcript_commands() -> list[list[str]]:
     cmds += [["ramsey", "table"], ["ramsey", "bound", "--s", "3", "--t", "5"]]
     cmds += [["conjecture", c, "--s-max", "5"] for c in ("rdc", "weak-mult")]
     cmds += [["conjecture", "rates"], ["conjecture", "fact23"], ["constants"], ["f", "curve"]]
+    cmds += [["constants", "--format", "text"], ["constants", "--delta", "0"]]
+    cmds += [["constants", "--delta", "20"], ["report", "envelope", "--n-max", "12"]]
     return cmds
 
 
