@@ -207,12 +207,10 @@ def _cmd_constants(args) -> int:
             ("phi_max", report.phi_max),
             ("phi_max_sq", report.phi_max_sq),
             ("diagonal_constant", report.diagonal_constant),
-            ("stationary_root", report.stationary_root),
-            ("tolerance", report.tolerance),
+            ("tolerance", report.tol),
         ]
         for name, value in rows:
             print(f"{name:18} {value:.6g}")
-        print(f"{'roots_agree':18} {report.roots_agree}")
     return EXIT_OK
 
 
@@ -416,7 +414,8 @@ def build_parser() -> _Parser:
     p = top.add_parser("constants", help="rate-function maximum and diagonal constant")
     p.add_argument("--delta", type=float, default=rates.DEFAULT_DELTA)
     p.add_argument("--tol", type=float, default=1e-10,
-                   help=f"search bracket width, at least {rates.MIN_TOL:g} (default 1e-10)")
+                   help=f"search bracket width, {rates.MIN_TOL:g} to {rates.MAX_TOL:g} "
+                        "(default 1e-10)")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=_cmd_constants)
 

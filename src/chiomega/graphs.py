@@ -103,6 +103,8 @@ class Graph:
 
     def relabeled(self, perm: list[int]) -> Graph:
         """Apply a permutation: new vertex ``k`` is old vertex ``perm[k]``."""
+        if sorted(perm) != list(range(self.n)):
+            raise ValueError("perm must be a permutation of 0..n-1")
         pos = [0] * self.n
         for k, v in enumerate(perm):
             pos[v] = k

@@ -8,6 +8,10 @@ whose squared maximum over (0, 1/2] bounds the growth coefficient of the
 extremal ratio, and the diagonal constant (log2(4 * exp(-delta)))^2 that the
 conditional (conjecture-assuming) bound produces. With delta = 0 both reduce
 to the classical constant 4.
+
+The maximum is certified, not sampled: phi' is a positive multiple of the
+stationarity residual, which changes sign exactly once on (0, 1/2), so one
+bisection bracket of that sign change holds the one maximizer of phi.
 """
 
 from __future__ import annotations
@@ -17,9 +21,14 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 DEFAULT_DELTA = 0.14 / math.e
-# Smallest bracket width the searches accept: their brackets lie in (0, 1/2],
+# Smallest bracket width maximize_rate accepts: its bracket lies in (0, 1/2],
 # where doubles are at most 2**-54 apart, so a width this size still shrinks.
 MIN_TOL = 1e-15
+# Largest width it accepts: phi'' is about -3.84 at the default maximizer, so
+# a bracket this wide still puts phi_max within ~5e-13 of the maximum. Wider
+# ones lose more (phi_max_sq drops 2.8e-9 at 1e-4), and from 0.25 on the
+# bisection may not run at all.
+MAX_TOL = 1e-6
 _LOG2E = math.log2(math.e)
 
 
@@ -44,14 +53,10 @@ class ConstantsReport:
     phi_max_sq: float
     diagonal_constant: float
     bracket: tuple[float, float]
-    stationary_root: float
-    roots_agree: bool
-    tolerance: float
+    tol: float
 
     def as_dict(self) -> dict:
-        obj = asdict(self)
-        obj["tol"] = obj.pop("tolerance")
-        return obj
+        return asdict(self)
 
 
 def entropy(x: float) -> float:
@@ -96,103 +101,58 @@ def rate_function(x: float, params: RateParams = RateParams()) -> float:
 
 
 def stationarity_residual(x: float, params: RateParams = RateParams()) -> float:
-    """Left side of (1-x)log2(1-x) - x log2(x) - delta*x*log2(e); zero at the maximizer of phi."""
+    """(1-x)log2(1-x) - x log2(x) - delta*x*log2(e), a positive multiple of phi'(x).
+
+    phi'(x) = residual(x) / (2 * (x * (1 - x))**1.5). The residual tends to 0
+    at 0 and its second derivative (1/(1-x) - 1/x) / ln 2 is negative on
+    (0, 1/2), so it is positive up to one root and nonpositive after it.
+    """
     if not 0.0 < x < 1.0:
         raise ValueError(f"residual argument must be in (0, 1), got {x}")
     return (1.0 - x) * math.log2(1.0 - x) - x * math.log2(x) - params.delta * x * _LOG2E
 
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, float, float]:
-    """Golden-section maximization; returns (argmax, max, final bracket width)."""
-    a, b = lo, hi
-    x1 = b - _INV_GOLDEN * (b - a)
-    x2 = a + _INV_GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_GOLDEN * (b - a)
-            f1 = f(x1)
-    x = (a + b) / 2.0
-    return x, f(x), b - a
-
-
-def _bisect_root(f, lo: float, hi: float, tol: float) -> tuple[float, float, float]:
-    """Bisection for f(lo) > 0 > f(hi); returns (root, bracket_lo, bracket_hi)."""
-    a, b = lo, hi
-    while b - a > tol:
-        m = (a + b) / 2.0
-        if f(m) > 0.0:
-            a = m
-        else:
-            b = m
-    return (a + b) / 2.0, a, b
-
-
-def _parabolic_refine(f, x0: float, h: float) -> float:
-    """One parabola fit through (x0-h, x0, x0+h); returns the vertex.
-
-    Golden-section localizes a smooth maximum only to about sqrt(eps) because
-    nearby function values tie in floating point; a single wide-spaced parabola
-    fit recovers several more digits.
-    """
-    fm, f0, fp = f(x0 - h), f(x0), f(x0 + h)
-    denom = fm - 2.0 * f0 + fp
-    if denom >= 0.0:
-        return x0
-    return x0 + 0.5 * h * (fm - fp) / denom
-
-
 def maximize_rate(params: RateParams = RateParams(), tol: float = 1e-10) -> ConstantsReport:
-    """Maximize phi over (0, 1/2] and cross-check against the stationarity root.
+    """Maximize phi over (0, 1/2] by bisecting its stationarity residual.
 
-    The maximizer comes from golden-section search; the displayed stationarity
-    condition is solved independently by bisection and both locations are
-    reported. ``roots_agree`` is False if they differ by more than 10*tol.
+    phi'(x) = residual(x) / (2 * (x * (1 - x))**1.5), and the residual is
+    concave on (0, 1/2) with limit 0 at 0, so it changes sign exactly once:
+    phi rises up to that root and falls after it. ``bracket`` = (a, b) is a
+    certified sign change, residual(a) > 0 >= residual(b), at most ``tol``
+    wide, and ``x_star`` is its midpoint. When the residual at 1/2 is >= 0
+    (delta = 0) phi rises all the way: the maximizer and both bracket ends
+    are 1/2 itself.
     """
     if not MIN_TOL <= tol < math.inf:
         raise ValueError(f"tol must be finite and at least {MIN_TOL:g}, got {tol}")
-    f = lambda x: rate_function(x, params)
+    if tol > MAX_TOL:
+        raise ValueError(f"tol must be at most {MAX_TOL:g}, got {tol}")
     res = lambda x: stationarity_residual(x, params)
-
-    x_star, phi_max, _ = _golden_section_max(f, 1e-6, 0.5, tol)
-    if 2e-5 < x_star:
-        x_star = min(_parabolic_refine(f, x_star, 1e-5), 0.5)
-        phi_max = f(x_star)
-    at_half = rate_function(0.5, params)
-    if at_half >= phi_max:
-        x_star, phi_max = 0.5, at_half
-
-    # The residual is positive well inside (0, 1/2) and nonpositive at 1/2
-    # for delta > 0; for delta = 0 the root sits exactly at the endpoint.
     if res(0.5) >= 0.0:
-        root, blo, bhi = 0.5, 0.5 - tol, 0.5
+        x_star = a = b = 0.5
     else:
-        lo = 0.25
-        while res(lo) <= 0.0:
-            lo /= 2.0
-            if lo < 1e-12:
+        a, b = 0.25, 0.5
+        while res(a) <= 0.0:
+            a /= 2.0
+            if a < 1e-12:
                 raise ValueError(f"no sign change of the stationarity residual above 1e-12 "
                                  f"(delta = {params.delta} is too large)")
-        root, blo, bhi = _bisect_root(res, lo, 0.5, tol)
-
+        while b - a > tol:
+            m = (a + b) / 2.0
+            if res(m) > 0.0:
+                a = m
+            else:
+                b = m
+        x_star = (a + b) / 2.0
+    phi_max = rate_function(x_star, params)
     return ConstantsReport(
         delta=params.delta,
         x_star=x_star,
         phi_max=phi_max,
         phi_max_sq=phi_max * phi_max,
         diagonal_constant=diagonal_constant(params),
-        bracket=(blo, bhi),
-        stationary_root=root,
-        roots_agree=abs(root - x_star) <= 10.0 * tol,
-        tolerance=tol,
+        bracket=(a, b),
+        tol=tol,
     )
 
 

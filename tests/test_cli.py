@@ -209,6 +209,8 @@ def test_input_errors_exit_one(tmp_path, capsys):
         (["constants", "--delta", "nan"], "delta must be finite and nonnegative, got nan"),
         (["constants", "--tol", "nan"], "tol must be finite and at least 1e-15, got nan"),
         (["constants", "--tol", "inf"], "tol must be finite and at least 1e-15, got inf"),
+        (["constants", "--tol", "1"], "tol must be at most 1e-06, got 1.0"),
+        (["constants", "--tol", "0.1"], "tol must be at most 1e-06, got 0.1"),
         (["phi", "--x", "0.3", "--delta", "nan"], "delta must be finite and nonnegative, got nan"),
         (["phi", "--x", "0.3", "--delta", "inf"], "delta must be finite and nonnegative, got inf"),
     ):
@@ -216,6 +218,7 @@ def test_input_errors_exit_one(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 1 and out == "", argv
         assert err.startswith(f"chiomega: error: {message}") and err.count("\n") == 1, (argv, err)
+        assert "Traceback" not in err
     # A bracket narrower than the doubles can split never shrinks: the search
     # would loop forever, so the run is bounded by a timeout here.
     proc = subprocess.run(

@@ -70,6 +70,9 @@ def test_relabeled_preserves_degrees():
     h = g.relabeled(perm)
     assert sorted(h.degree(v) for v in range(6)) == sorted(g.degree(v) for v in range(6))
     assert h.num_edges() == g.num_edges()
+    for bad in ([0, 0, 1], [-1, 0, 1], [0, 1], [0, 1, 2, 3], [0, 1, 3]):
+        with pytest.raises(ValueError, match=r"perm must be a permutation of 0\.\.n-1"):
+            path_graph(3).relabeled(bad)
 
 
 def test_with_edge_toggled():

@@ -7,6 +7,7 @@ import pytest
 from chiomega.ramsey import BoundsTable, RamseyBoundRecord, packaged_bounds_table
 from chiomega.rates import (
     DEFAULT_DELTA,
+    MAX_TOL,
     MIN_TOL,
     RateParams,
     diagonal_constant,
@@ -62,11 +63,10 @@ def test_maximize_rate_reproduces_constants():
     assert 3.7190 < report.phi_max_sq < 3.71943
     assert abs(report.diagonal_constant - 3.70831) <= 1e-4
     assert report.diagonal_constant < report.phi_max_sq
-    assert report.roots_agree
     assert report.bracket[0] <= report.x_star <= report.bracket[1]
     # Local-maximum property and dominance over the interior endpoint.
     f = lambda x: rate_function(x, RateParams())
-    tol = report.tolerance
+    tol = report.tol
     assert report.phi_max >= f(report.x_star - tol)
     assert report.phi_max >= f(min(0.5, report.x_star + tol))
     assert report.phi_max >= f(0.5)
@@ -85,6 +85,10 @@ def test_maximize_rate_rejects_unusable_inputs():
     for tol in (0.0, 1e-16, math.nan, math.inf):
         with pytest.raises(ValueError, match="tol must be finite and at least 1e-15"):
             maximize_rate(tol=tol)
+    # A wider bracket loses digits of the constant; at tol 1 nothing is bisected.
+    for tol in (1e-6 * (1 + 1e-15), 1e-4, 0.1, 1.0):
+        with pytest.raises(ValueError, match="tol must be at most 1e-06"):
+            maximize_rate(tol=tol)
     # The residual's sign change lies below 1e-12 for so large a delta.
     with pytest.raises(ValueError, match="no sign change"):
         maximize_rate(RateParams(delta=100.0))
@@ -92,6 +96,30 @@ def test_maximize_rate_rejects_unusable_inputs():
     report = maximize_rate(tol=MIN_TOL)
     assert report.bracket[1] - report.bracket[0] <= MIN_TOL
     assert abs(report.phi_max_sq - maximize_rate().phi_max_sq) <= 1e-12
+    # So does the ceiling, within 1e-12 of the maximum.
+    report = maximize_rate(tol=MAX_TOL)
+    assert report.bracket[1] - report.bracket[0] <= MAX_TOL
+    assert abs(report.phi_max_sq - maximize_rate().phi_max_sq) <= 1e-12
+
+
+@pytest.mark.parametrize("delta", [0.0, DEFAULT_DELTA, 1.0, 20.0])
+def test_maximize_rate_bracket_certifies_a_grid_maximum(delta):
+    """An oracle independent of the search: the bracket is a sign change of
+    the residual, and no point of a fine grid beats the reported maximum."""
+    params = RateParams(delta=delta)
+    report = maximize_rate(params)
+    a, b = report.bracket
+    assert b - a <= report.tol
+    assert a <= report.x_star <= b
+    if delta == 0.0:
+        assert b == report.x_star == 0.5
+    else:
+        assert stationarity_residual(a, params) > 0.0 >= stationarity_residual(b, params)
+    assert report.phi_max == rate_function(report.x_star, params)
+    assert report.phi_max_sq == report.phi_max * report.phi_max
+    steps = 20_001
+    best = max(rate_function(0.5 * k / steps, params) for k in range(1, steps + 1))
+    assert best <= report.phi_max + 1e-12, (best, report.phi_max)
 
 
 def test_stationarity_residual_has_one_sign_change():
