@@ -4,8 +4,7 @@ Exit codes separate kinds of outcome: 0 success, 1 input error, 2 internal
 verification failure (a witness or table fails re-verification), 3 a checked
 conjecture is contradicted by the data — a finding, not a bug, so it gets a
 distinct code. All output is deterministic given the flags, and seeds default
-to fixed values. ``--threads`` is accepted and validated (>= 1) but has no
-effect: every solver runs in the calling thread.
+to fixed values.
 """
 
 from __future__ import annotations
@@ -152,8 +151,7 @@ def _cmd_graph_greedy(args) -> int:
 
 def _cmd_ramsey_small(args) -> int:
     result = ramsey.ramsey_exact_small(
-        args.s, args.t, n_max=args.n_max,
-        node_budget=args.budget, workers=args.threads,
+        args.s, args.t, n_max=args.n_max, node_budget=args.budget,
     )
     witness = result.witness_graph6()
     _emit({
@@ -197,7 +195,7 @@ def _cmd_ramsey_table(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    report = rates.maximize_rate(rates.RateParams(delta=args.delta), tol=args.tol)
+    report = rates.maximize_rate(rates.RateParams(delta=args.delta))
     if args.format == "json":
         _emit(report.as_dict())
     else:
@@ -207,7 +205,6 @@ def _cmd_constants(args) -> int:
             ("phi_max", report.phi_max),
             ("phi_max_sq", report.phi_max_sq),
             ("diagonal_constant", report.diagonal_constant),
-            ("tolerance", report.tol),
         ]
         for name, value in rows:
             print(f"{name:18} {value:.6g}")
@@ -245,8 +242,7 @@ def _ratio_obj(rec: extremal.RatioRecord) -> dict:
 
 def _cmd_f_exact(args) -> int:
     rec = extremal.max_ratio_exact(
-        args.n, node_budget=args.budget, workers=args.threads,
-        allow_nine=args.allow_nine,
+        args.n, node_budget=args.budget, allow_nine=args.allow_nine,
     )
     _emit(_ratio_obj(rec))
     return EXIT_OK
@@ -254,8 +250,7 @@ def _cmd_f_exact(args) -> int:
 
 def _cmd_f_search(args) -> int:
     rec = extremal.max_ratio_search(
-        args.n, strategy=args.strategy, seed=args.seed,
-        node_budget=args.budget, workers=args.threads,
+        args.n, strategy=args.strategy, seed=args.seed, node_budget=args.budget,
     )
     _emit(_ratio_obj(rec))
     return EXIT_OK
@@ -361,11 +356,6 @@ def _cmd_conjecture_fact23(args) -> int:
 # -- parser -----------------------------------------------------------------
 
 
-def _add_threads(p) -> None:
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; has no effect (default 1)")
-
-
 def _add_table(p, kind: str) -> None:
     p.add_argument("--table", default=None,
                    help=f"table file (default: ${_TABLES[kind][0]} or the packaged table)")
@@ -397,7 +387,6 @@ def build_parser() -> _Parser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--n-max", type=int, default=64, help="size cap (default 64)")
     p.add_argument("--budget", type=int, default=None, help="search node budget")
-    _add_threads(p)
     p.set_defaults(func=_cmd_ramsey_small)
     p = rams_sub.add_parser("bound", help="look up R(s,t) bounds in a table")
     p.add_argument("--s", type=int, required=True)
@@ -413,9 +402,6 @@ def build_parser() -> _Parser:
 
     p = top.add_parser("constants", help="rate-function maximum and diagonal constant")
     p.add_argument("--delta", type=float, default=rates.DEFAULT_DELTA)
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help=f"search bracket width, {rates.MIN_TOL:g} to {rates.MAX_TOL:g} "
-                        "(default 1e-10)")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=_cmd_constants)
 
@@ -435,7 +421,6 @@ def build_parser() -> _Parser:
     p.add_argument("--budget", type=int, default=None, help="enumeration node budget")
     p.add_argument("--allow-nine", action="store_true",
                    help="permit the long n = 9 enumeration")
-    _add_threads(p)
     p.set_defaults(func=_cmd_f_exact)
     p = f_sub.add_parser("search", help="certified f(n) lower bound by search")
     p.add_argument("--n", type=int, required=True)
@@ -443,7 +428,6 @@ def build_parser() -> _Parser:
                    default="hybrid")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=None, help="candidate evaluation budget")
-    _add_threads(p)
     p.set_defaults(func=_cmd_f_search)
     p = f_sub.add_parser("verify", help="re-verify a ratio table's witnesses")
     _add_table(p, "ratio")

@@ -21,15 +21,8 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 DEFAULT_DELTA = 0.14 / math.e
-# Smallest bracket width maximize_rate accepts: its bracket lies in (0, 1/2],
-# where doubles are at most 2**-54 apart, so a width this size still shrinks.
-MIN_TOL = 1e-15
-# Largest width it accepts: phi'' is about -3.84 at the default maximizer, so
-# a bracket this wide still puts phi_max within ~5e-13 of the maximum. Wider
-# ones lose more (phi_max_sq drops 2.8e-9 at 1e-4), and from 0.25 on the
-# bisection may not run at all.
-MAX_TOL = 1e-6
 _LOG2E = math.log2(math.e)
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -53,7 +46,6 @@ class ConstantsReport:
     phi_max_sq: float
     diagonal_constant: float
     bracket: tuple[float, float]
-    tol: float
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -65,7 +57,7 @@ def entropy(x: float) -> float:
         raise ValueError(f"entropy argument must be in [0, 1], got {x}")
     if x == 0.0 or x == 1.0:
         return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    return -x * math.log2(x) - (1.0 - x) * math.log1p(-x) / _LN2
 
 
 def entropy_binomial_check(m: int, j: int) -> bool:
@@ -109,24 +101,21 @@ def stationarity_residual(x: float, params: RateParams = RateParams()) -> float:
     """
     if not 0.0 < x < 1.0:
         raise ValueError(f"residual argument must be in (0, 1), got {x}")
-    return (1.0 - x) * math.log2(1.0 - x) - x * math.log2(x) - params.delta * x * _LOG2E
+    return (1.0 - x) * math.log1p(-x) / _LN2 - x * math.log2(x) - params.delta * x * _LOG2E
 
 
-def maximize_rate(params: RateParams = RateParams(), tol: float = 1e-10) -> ConstantsReport:
+def maximize_rate(params: RateParams = RateParams()) -> ConstantsReport:
     """Maximize phi over (0, 1/2] by bisecting its stationarity residual.
 
     phi'(x) = residual(x) / (2 * (x * (1 - x))**1.5), and the residual is
     concave on (0, 1/2) with limit 0 at 0, so it changes sign exactly once:
     phi rises up to that root and falls after it. ``bracket`` = (a, b) is a
-    certified sign change, residual(a) > 0 >= residual(b), at most ``tol``
-    wide, and ``x_star`` is its midpoint. When the residual at 1/2 is >= 0
+    certified sign change, residual(a) > 0 >= residual(b), bisected until no
+    double lies strictly between a and b; ``x_star`` is their rounded
+    midpoint, so one of the two ends. When the residual at 1/2 is >= 0
     (delta = 0) phi rises all the way: the maximizer and both bracket ends
     are 1/2 itself.
     """
-    if not MIN_TOL <= tol < math.inf:
-        raise ValueError(f"tol must be finite and at least {MIN_TOL:g}, got {tol}")
-    if tol > MAX_TOL:
-        raise ValueError(f"tol must be at most {MAX_TOL:g}, got {tol}")
     res = lambda x: stationarity_residual(x, params)
     if res(0.5) >= 0.0:
         x_star = a = b = 0.5
@@ -137,13 +126,11 @@ def maximize_rate(params: RateParams = RateParams(), tol: float = 1e-10) -> Cons
             if a < 1e-12:
                 raise ValueError(f"no sign change of the stationarity residual above 1e-12 "
                                  f"(delta = {params.delta} is too large)")
-        while b - a > tol:
-            m = (a + b) / 2.0
-            if res(m) > 0.0:
-                a = m
+        while a < (x_star := (a + b) / 2.0) < b:
+            if res(x_star) > 0.0:
+                a = x_star
             else:
-                b = m
-        x_star = (a + b) / 2.0
+                b = x_star
     phi_max = rate_function(x_star, params)
     return ConstantsReport(
         delta=params.delta,
@@ -152,7 +139,6 @@ def maximize_rate(params: RateParams = RateParams(), tol: float = 1e-10) -> Cons
         phi_max_sq=phi_max * phi_max,
         diagonal_constant=diagonal_constant(params),
         bracket=(a, b),
-        tol=tol,
     )
 
 
@@ -162,19 +148,19 @@ def diagonal_constant(params: RateParams = RateParams()) -> float:
     return base * base
 
 
-def ratio_envelope(n: int, l_rate: float = 0.5, m_sq: Optional[float] = None) -> tuple[float, float]:
-    """Finite evaluation (L^2 * n/(log2 n)^2, M^2 * n/(log2 n)^2) of the ratio envelope.
+def ratio_envelope(n: int, m_sq: Optional[float] = None) -> tuple[float, float]:
+    """Finite evaluation (n/(4 (log2 n)^2), M^2 * n/(log2 n)^2) of the ratio envelope.
 
-    ``l_rate`` is the diagonal lower-bound rate L (default 1/2, giving the
-    classical 1/4 coefficient); ``m_sq`` is the squared upper rate M^2
-    (default: the maximum of phi squared at the default delta).
+    The lower coefficient 1/4 is the square of the diagonal lower-bound rate
+    L = 1/2; ``m_sq`` is the squared upper rate M^2 (default: the maximum of
+    phi squared at the default delta).
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     if m_sq is None:
         m_sq = maximize_rate().phi_max_sq
     scale = n / math.log2(n) ** 2
-    return (l_rate * l_rate * scale, m_sq * scale)
+    return (0.25 * scale, m_sq * scale)
 
 
 def min_product_binomial(n: int) -> tuple[int, int]:

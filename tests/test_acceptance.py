@@ -74,7 +74,7 @@ def test_criterion_1_constants_reproduction():
         flat = maximize_rate(RateParams(delta=0.0))
         assert abs(flat.phi_max_sq - 4.0) <= 1e-9
         assert diagonal_constant(RateParams(delta=0.0)) == 4.0
-        lower, _ = ratio_envelope(1024, l_rate=0.5, m_sq=4.0)
+        lower, _ = ratio_envelope(1024, m_sq=4.0)
         assert abs(lower - 0.25 * 1024 / math.log2(1024) ** 2) <= 1e-12
 
     _criterion(1, "constants reproduction", 1.0, body)
@@ -242,8 +242,11 @@ def test_criterion_9_cli_determinism():
             ["ramsey", "small", "--s", "3", "--t", "3"],
             ["ramsey", "bound", "--s", "4", "--t", "4"],
             ["ramsey", "table"],
+            ["ramsey", "small", "--s", "3", "--t", "4"],
             ["f", "exact", "--n", "5"],
+            ["f", "exact", "--n", "6"],
             ["f", "search", "--n", "10", "--seed", "3"],
+            ["f", "search", "--n", "12"],
             ["f", "verify"],
             ["f", "curve"],
             ["conjecture", "rdc", "--s-max", "6"],
@@ -256,13 +259,13 @@ def test_criterion_9_cli_determinism():
         ]
         for argv in commands:
             assert run_cli(argv) == run_cli(argv), argv
-        threaded = [
-            ["ramsey", "small", "--s", "3", "--t", "4"],
-            ["f", "exact", "--n", "6"],
-            ["f", "search", "--n", "12"],
-        ]
-        for argv in threaded:
-            outputs = {run_cli(argv + ["--threads", str(k)])for k in (1, 2, 4)}
-            assert len(outputs) == 1, argv
+        # Removed flags are bad flags: exit 1 before any output.
+        for argv in (
+            ["ramsey", "small", "--s", "3", "--t", "4", "--threads", "2"],
+            ["f", "exact", "--n", "6", "--threads", "2"],
+            ["f", "search", "--n", "12", "--threads", "2"],
+            ["constants", "--tol", "1e-10"],
+        ):
+            assert run_cli(argv) == (1, ""), argv
 
     _criterion(9, "CLI determinism", math.inf, body)

@@ -1,14 +1,13 @@
 """Rate-function constants, entropy bounds, and the supporting arithmetic facts."""
 
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 
 from chiomega.ramsey import BoundsTable, RamseyBoundRecord, packaged_bounds_table
 from chiomega.rates import (
     DEFAULT_DELTA,
-    MAX_TOL,
-    MIN_TOL,
     RateParams,
     diagonal_constant,
     diagonal_ramsey_index,
@@ -33,6 +32,27 @@ def test_entropy_basics():
         entropy(-0.1)
     with pytest.raises(ValueError):
         entropy(1.1)
+
+
+def _entropy_and_phi_reference(x: float, delta: float) -> tuple[float, float]:
+    """H(x) and phi(x) at 50 digits, from the exact values of the doubles x and delta."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x_, d_, one = Decimal(x), Decimal(delta), Decimal(1)
+        ln2 = Decimal(2).ln()
+        h = -(x_ * x_.ln() + (one - x_) * (one - x_).ln()) / ln2
+        phi = (h - d_ * x_ / ln2) / (x_ * (one - x_)).sqrt()
+        return float(h), float(phi)
+
+
+@pytest.mark.parametrize("x", [1e-12, 1e-9, 1e-4, 0.25, 0.46])
+def test_entropy_and_rate_function_keep_their_digits_near_zero(x):
+    # (1 - x) * log2(1 - x) cancels for small x unless log1p carries it.
+    for delta in (0.0, DEFAULT_DELTA, 24.0):
+        h, phi = _entropy_and_phi_reference(x, delta)
+        assert abs(entropy(x) - h) <= 1e-13 * h, (x, entropy(x), h)
+        got = rate_function(x, RateParams(delta=delta))
+        assert abs(got - phi) <= 1e-13 * abs(phi), (x, delta, got, phi)
 
 
 def test_entropy_binomial_check_spot_values():
@@ -63,13 +83,13 @@ def test_maximize_rate_reproduces_constants():
     assert 3.7190 < report.phi_max_sq < 3.71943
     assert abs(report.diagonal_constant - 3.70831) <= 1e-4
     assert report.diagonal_constant < report.phi_max_sq
-    assert report.bracket[0] <= report.x_star <= report.bracket[1]
-    # Local-maximum property and dominance over the interior endpoint.
-    f = lambda x: rate_function(x, RateParams())
-    tol = report.tol
-    assert report.phi_max >= f(report.x_star - tol)
-    assert report.phi_max >= f(min(0.5, report.x_star + tol))
-    assert report.phi_max >= f(0.5)
+    # The paper's constants, bit for bit.
+    assert report.phi_max == 1.9285818324044026
+    assert report.phi_max_sq == 3.7194278842803232
+    assert report.diagonal_constant == 3.708307786710156
+    a, b = report.bracket
+    assert math.nextafter(a, 1.0) == b and report.x_star in (a, b)
+    assert report.phi_max >= rate_function(0.5, RateParams())
 
 
 def test_maximize_rate_delta_zero_recovers_four():
@@ -80,46 +100,35 @@ def test_maximize_rate_delta_zero_recovers_four():
 
 
 def test_maximize_rate_rejects_unusable_inputs():
-    # A search with tol = 1e-16 still ends without the check; 1e-20 would not,
-    # so test_cli runs that one in a subprocess with a timeout.
-    for tol in (0.0, 1e-16, math.nan, math.inf):
-        with pytest.raises(ValueError, match="tol must be finite and at least 1e-15"):
-            maximize_rate(tol=tol)
-    # A wider bracket loses digits of the constant; at tol 1 nothing is bisected.
-    for tol in (1e-6 * (1 + 1e-15), 1e-4, 0.1, 1.0):
-        with pytest.raises(ValueError, match="tol must be at most 1e-06"):
-            maximize_rate(tol=tol)
     # The residual's sign change lies below 1e-12 for so large a delta.
     with pytest.raises(ValueError, match="no sign change"):
         maximize_rate(RateParams(delta=100.0))
-    # The floor itself still ends, with the same constants.
-    report = maximize_rate(tol=MIN_TOL)
-    assert report.bracket[1] - report.bracket[0] <= MIN_TOL
-    assert abs(report.phi_max_sq - maximize_rate().phi_max_sq) <= 1e-12
-    # So does the ceiling, within 1e-12 of the maximum.
-    report = maximize_rate(tol=MAX_TOL)
-    assert report.bracket[1] - report.bracket[0] <= MAX_TOL
-    assert abs(report.phi_max_sq - maximize_rate().phi_max_sq) <= 1e-12
+    # The precision is not a parameter: the bracket always ends at adjacent doubles.
+    with pytest.raises(TypeError):
+        maximize_rate(tol=1e-10)
 
 
-@pytest.mark.parametrize("delta", [0.0, DEFAULT_DELTA, 1.0, 20.0])
+@pytest.mark.parametrize("delta", [0.0, DEFAULT_DELTA, 1.0, 20.0, 22.0, 24.0, 26.0])
 def test_maximize_rate_bracket_certifies_a_grid_maximum(delta):
     """An oracle independent of the search: the bracket is a sign change of
-    the residual, and no point of a fine grid beats the reported maximum."""
+    the residual between adjacent doubles, and no point of a fine scan around
+    the maximizer beats the reported maximum."""
     params = RateParams(delta=delta)
     report = maximize_rate(params)
     a, b = report.bracket
-    assert b - a <= report.tol
-    assert a <= report.x_star <= b
+    assert report.x_star in (a, b)
     if delta == 0.0:
-        assert b == report.x_star == 0.5
+        assert a == b == 0.5
     else:
+        assert math.nextafter(a, 1.0) == b
         assert stationarity_residual(a, params) > 0.0 >= stationarity_residual(b, params)
     assert report.phi_max == rate_function(report.x_star, params)
     assert report.phi_max_sq == report.phi_max * report.phi_max
-    steps = 20_001
-    best = max(rate_function(0.5 * k / steps, params) for k in range(1, steps + 1))
-    assert best <= report.phi_max + 1e-12, (best, report.phi_max)
+    # 2,001 log-spaced points over four decades around the maximizer.
+    lo, hi = report.x_star / 100, min(0.5, 100 * report.x_star)
+    steps = 2000
+    best = max(rate_function(lo * (hi / lo) ** (k / steps), params) for k in range(steps + 1))
+    assert best <= report.phi_max, (best, report.phi_max)
 
 
 def test_stationarity_residual_has_one_sign_change():
@@ -135,7 +144,7 @@ def test_stationarity_residual_has_one_sign_change():
 
 
 def test_ratio_envelope_values():
-    lower, upper = ratio_envelope(1024, l_rate=0.5, m_sq=4.0)
+    lower, upper = ratio_envelope(1024, m_sq=4.0)
     assert abs(lower - 2.56) <= 1e-12
     assert abs(upper - 40.96) <= 1e-12
     _, default_upper = ratio_envelope(1024)
