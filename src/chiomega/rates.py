@@ -22,7 +22,6 @@ from typing import Optional
 
 DEFAULT_DELTA = 0.14 / math.e
 _LOG2E = math.log2(math.e)
-_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,7 @@ def entropy(x: float) -> float:
         raise ValueError(f"entropy argument must be in [0, 1], got {x}")
     if x == 0.0 or x == 1.0:
         return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log1p(-x) / _LN2
+    return -x * math.log2(x) - (1.0 - x) * math.log1p(-x) * _LOG2E
 
 
 def entropy_binomial_check(m: int, j: int) -> bool:
@@ -101,7 +100,7 @@ def stationarity_residual(x: float, params: RateParams = RateParams()) -> float:
     """
     if not 0.0 < x < 1.0:
         raise ValueError(f"residual argument must be in (0, 1), got {x}")
-    return (1.0 - x) * math.log1p(-x) / _LN2 - x * math.log2(x) - params.delta * x * _LOG2E
+    return (1.0 - x) * math.log1p(-x) * _LOG2E - x * math.log2(x) - params.delta * x * _LOG2E
 
 
 def maximize_rate(params: RateParams = RateParams()) -> ConstantsReport:
@@ -110,11 +109,13 @@ def maximize_rate(params: RateParams = RateParams()) -> ConstantsReport:
     phi'(x) = residual(x) / (2 * (x * (1 - x))**1.5), and the residual is
     concave on (0, 1/2) with limit 0 at 0, so it changes sign exactly once:
     phi rises up to that root and falls after it. ``bracket`` = (a, b) is a
-    certified sign change, residual(a) > 0 >= residual(b), bisected until no
-    double lies strictly between a and b; ``x_star`` is their rounded
-    midpoint, so one of the two ends. When the residual at 1/2 is >= 0
-    (delta = 0) phi rises all the way: the maximizer and both bracket ends
-    are 1/2 itself.
+    sign change residual(a) > 0 >= residual(b), bisected until no double lies
+    strictly between a and b. The sign change is certified only up to the
+    rounding of the residual, which is not monotone in floats near the root
+    (ROADMAP item 1 plans a decimal enclosure). ``x_star`` is the rounded
+    midpoint of a and b, so one of the two ends. When the residual at 1/2 is
+    >= 0 (delta = 0) phi rises all the way: the maximizer and both bracket
+    ends are 1/2 itself.
     """
     res = lambda x: stationarity_residual(x, params)
     if res(0.5) >= 0.0:

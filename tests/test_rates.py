@@ -111,8 +111,8 @@ def test_maximize_rate_rejects_unusable_inputs():
 @pytest.mark.parametrize("delta", [0.0, DEFAULT_DELTA, 1.0, 20.0, 22.0, 24.0, 26.0])
 def test_maximize_rate_bracket_certifies_a_grid_maximum(delta):
     """An oracle independent of the search: the bracket is a sign change of
-    the residual between adjacent doubles, and no point of a fine scan around
-    the maximizer beats the reported maximum."""
+    the residual between adjacent doubles, and no point of a fine linear grid
+    nor of a log scan around the maximizer beats the reported maximum."""
     params = RateParams(delta=delta)
     report = maximize_rate(params)
     a, b = report.bracket
@@ -124,7 +124,11 @@ def test_maximize_rate_bracket_certifies_a_grid_maximum(delta):
         assert stationarity_residual(a, params) > 0.0 >= stationarity_residual(b, params)
     assert report.phi_max == rate_function(report.x_star, params)
     assert report.phi_max_sq == report.phi_max * report.phi_max
-    # 2,001 log-spaced points over four decades around the maximizer.
+    # A fine linear grid over all of (0, 1/2] ...
+    steps = 20_001
+    best = max(rate_function(0.5 * k / steps, params) for k in range(1, steps + 1))
+    assert best <= report.phi_max + 1e-12, (best, report.phi_max)
+    # ... and 2,001 log-spaced points over four decades around the maximizer.
     lo, hi = report.x_star / 100, min(0.5, 100 * report.x_star)
     steps = 2000
     best = max(rate_function(lo * (hi / lo) ** (k / steps), params) for k in range(steps + 1))
