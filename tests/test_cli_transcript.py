@@ -23,9 +23,10 @@ TRANSCRIPT = Path(__file__).with_name("cli_transcript.json")
 
 def transcript_commands() -> list[list[str]]:
     cmds = [["f", "exact", "--n", str(n)] for n in range(1, 8)]
-    cmds += [["f", "exact", "--n", "7", "--budget", str(b)] for b in (50, 1000)]
+    cmds += [["f", "exact", "--n", "7", "--budget", str(b)] for b in (50, 1000, 11290)]
     cmds += [["ramsey", "small", "--s", "2", "--t", str(t)] for t in range(2, 6)]
     cmds += [["ramsey", "small", "--s", "3", "--t", str(t)] for t in (3, 4)]
+    cmds += [["ramsey", "small", "--s", "3", "--t", "4", "--budget", "4551"]]
     cmds += [["ramsey", "small", "--s", "3", "--t", "5", "--budget", str(b)] for b in (50, 5000)]
     cmds += [["f", "search", "--n", "13", "--seed", str(s)] for s in (0, 1)]
     cmds += [["ramsey", "table", "--closure"], ["f", "verify"]]
