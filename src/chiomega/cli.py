@@ -299,6 +299,8 @@ _CHECKERS = {
 
 
 def _cmd_conjecture_check(args) -> int:
+    if args.s_max < 1:
+        raise _CliError("--s-max must be at least 1")
     table = _load_table(args, "bounds")
     verdicts = _CHECKERS[args.conjecture](table, args.s_max)
     counts = {"consistent": 0, "violated": 0, "undecidable": 0, "confirmed": 0}

@@ -28,7 +28,7 @@ from .graphs import (
     random_graph,
     to_graph6,
 )
-from .invariants import (BudgetExceeded, _Counter, _even_shares, chromatic_number, clique_number,
+from .invariants import (BudgetExceeded, _check_budget, _Counter, chromatic_number, clique_number,
                           independence_number)
 
 __all__ = [
@@ -259,9 +259,9 @@ def max_ratio_exact(n: int, node_budget: Optional[int] = None, workers: int = 1,
     ratio under the deterministic tie-break (fewer edges, then graph6 order).
     Exhaustive mode is capped at n = 8; n = 9 (274668 classes) must be opted
     into explicitly, and larger n are refused outright — use
-    ``max_ratio_search`` there. A budget (counted in extension tests) turns
-    the result into a partial, non-exhaustive record. ``workers`` is
-    validated but has no effect: the search runs in the calling thread.
+    ``max_ratio_search`` there. A budget counts extension tests in depth-first
+    order; a record it cuts short is not exhaustive. ``workers`` is validated
+    but has no effect: the search runs in the calling thread.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -272,35 +272,29 @@ def max_ratio_exact(n: int, node_budget: Optional[int] = None, workers: int = 1,
     if workers < 1:
         raise ValueError("workers must be >= 1")
 
-    # The budget is split evenly over the subtrees rooted at a fixed small
-    # size, so a partial record shows some work from every part of the tree.
-    counter = _Counter()
-    if n <= _ROOT_SIZE:
-        roots = [(0,)]
-    else:
-        roots = list(_canonical_descendants((0,), _ROOT_SIZE, counter))
-    left = None if node_budget is None else node_budget - counter.count
-
+    counter = _Counter(node_budget)
+    roots = [(0,)] if n <= _ROOT_SIZE else _canonical_descendants((0,), _ROOT_SIZE, counter)
     best: Optional[tuple[Ratio, Graph]] = None
     complete = True
-    for root, share in zip(roots, _even_shares(left, len(roots))):
-        counter.allow(share)
-        part: Optional[tuple[Ratio, Graph]] = None
-        try:
-            for adj in _canonical_descendants(root, n, counter):
-                g = Graph(n, adj)
-                omega = clique_number(g).value
-                # chi <= n caps the ratio at n/omega; skip the chromatic solve
-                # when even that cannot beat or tie the subtree's incumbent.
-                if part is not None and n * part[0].den < part[0].num * omega:
-                    continue
-                cand = (Ratio(chromatic_number(g).value, omega), g)
-                if _prefer(cand, part):
-                    part = cand
-        except BudgetExceeded:
-            complete = False
-        if part is not None and _prefer(part, best):
-            best = part
+    try:
+        for root in roots:
+            part: Optional[tuple[Ratio, Graph]] = None
+            try:
+                for adj in _canonical_descendants(root, n, counter):
+                    g = Graph(n, adj)
+                    omega = clique_number(g).value
+                    # chi <= n caps the ratio at n/omega; skip the chromatic solve when
+                    # even that cannot beat or tie the subtree's incumbent.
+                    if part is not None and n * part[0].den < part[0].num * omega:
+                        continue
+                    cand = (Ratio(chromatic_number(g).value, omega), g)
+                    if _prefer(cand, part):
+                        part = cand
+            finally:
+                if part is not None and _prefer(part, best):
+                    best = part
+    except BudgetExceeded:
+        complete = False
     if best is None:
         raise BudgetExceeded("budget too small to score any graph")
     value, witness = best
@@ -394,9 +388,9 @@ def max_ratio_search(n: int, strategy: str = "hybrid", seed: int = 0,
     four seeded edge-flip chains from a random start; ``hybrid`` does both,
     annealing from the best construction. The budget counts candidate
     evaluations. Every evaluation uses exact invariants, so the result is
-    always a true lower bound, determined by (strategy, seed, budget).
-    ``workers`` is validated but has no effect: the search runs in the
-    calling thread.
+    always a true lower bound, determined by (strategy, seed, budget). A
+    negative budget is a ValueError. ``workers`` is validated but has no
+    effect: the search runs in the calling thread.
     """
     if not 1 <= n <= 64:
         raise ValueError(f"need 1 <= n <= 64, got {n}")
@@ -404,6 +398,7 @@ def max_ratio_search(n: int, strategy: str = "hybrid", seed: int = 0,
         raise ValueError(f"unknown strategy {strategy!r}")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    _check_budget(node_budget)
     evals_total = 240 if node_budget is None else node_budget
 
     best: Optional[tuple[Ratio, Graph]] = None

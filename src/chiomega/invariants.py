@@ -20,30 +20,26 @@ class BudgetExceeded(Exception):
     """Raised internally when a solver runs out of search nodes."""
 
 
+def _check_budget(budget: Optional[int]) -> None:
+    """Refuse a negative budget; None means unlimited."""
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+
+
 class _Counter:
-    """Nodes of one budgeted search; ``allow(share)`` limits the next part to ``share`` more."""
+    """Nodes of one budgeted search; ``tick`` refuses the node past ``limit`` (None: unlimited)."""
 
     __slots__ = ("count", "limit")
 
-    def __init__(self) -> None:
+    def __init__(self, limit: Optional[int] = None) -> None:
+        _check_budget(limit)
         self.count = 0
-        self.limit: Optional[int] = None
-
-    def allow(self, share: Optional[int]) -> None:
-        self.limit = None if share is None else self.count + share
+        self.limit = limit
 
     def tick(self) -> None:
-        self.count += 1
-        if self.limit is not None and self.count > self.limit:
+        if self.count == self.limit:
             raise BudgetExceeded
-
-
-def _even_shares(budget: Optional[int], parts: int) -> list[Optional[int]]:
-    """Split a node budget (None: unlimited) evenly; earlier parts take the remainder."""
-    if budget is None:
-        return [None] * parts
-    base, extra = divmod(max(0, budget), parts)
-    return [base + (1 if i < extra else 0) for i in range(parts)]
+        self.count += 1
 
 
 @dataclass(frozen=True)
@@ -232,8 +228,9 @@ def chromatic_number(g: Graph, node_budget: Optional[int] = None) -> ExactInvari
     Exactness comes either from the clique lower bound matching the upper
     bound or from exhausting the search below it. With a ``node_budget`` the
     search may stop early, returning the best coloring found with
-    ``exact=False``.
+    ``exact=False``. A negative budget is a ValueError.
     """
+    _check_budget(node_budget)
     n = g.n
     adj = g.adj
     full = g.full_mask()

@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 
 from ._records import load_packaged, read_fields, read_records, write_records
 from .graphs import Graph, from_edges, to_graph6
-from .invariants import (BudgetExceeded, _Counter, _even_shares, _exists_clique, clique_number,
+from .invariants import (BudgetExceeded, _Counter, _exists_clique, clique_number,
                          independence_number)
 
 __all__ = [
@@ -283,7 +283,7 @@ class _ColoringSearch:
     representative per tracked symmetry survives. The lexicographically
     smallest valid coloring is never rejected, which keeps both existence and
     nonexistence conclusions sound. Every row step ticks ``counter``, which
-    holds the node count and budget of all searches of one size.
+    holds the node count and budget of a whole ``ramsey_exact_small`` call.
     """
 
     def __init__(self, s: int, t: int, n: int, counter: _Counter) -> None:
@@ -292,16 +292,11 @@ class _ColoringSearch:
         self.blue = [0] * n
         self.counter = counter
         self.witness: Optional[list[int]] = None
-        self.stop_depth: Optional[int] = None
-        self.snapshots: list[tuple[list[int], list[int], list[tuple[int, int]]]] = []
-
-    def run(self) -> bool:
-        """Search from the root; True iff a full valid coloring was found."""
-        return self._extend(0, [])
 
     def run_from(self, red: list[int], blue: list[int], pending: list[tuple[int, int]],
                  depth: int) -> bool:
-        """Continue a search from a snapshot whose first ``depth`` rows are decided."""
+        """Search on from a coloring whose first ``depth`` rows are decided;
+        True iff a full valid coloring, left in ``witness``, was found."""
         self.red = list(red)
         self.blue = list(blue)
         return self._extend(depth, list(pending))
@@ -310,9 +305,6 @@ class _ColoringSearch:
         if v == self.n:
             self.witness = list(self.red)
             return True
-        if self.stop_depth is not None and v == self.stop_depth:
-            self.snapshots.append((list(self.red), list(self.blue), list(pending)))
-            return False
         return self._row(v, 0, 0, 0, pending)
 
     def _row(self, v: int, u: int, rmask: int, bmask: int,
@@ -413,42 +405,17 @@ def _verify_witness(red: Graph, s: int, t: int) -> None:
         raise RuntimeError(f"witness verification failed: blue clique of size {t} present")
 
 
-_PARTITION_DEPTH = 4
-
-
 def _search_size(s: int, t: int, n: int,
-                 budget: Optional[int]) -> tuple[Optional[list[int]], int, bool]:
-    """Decide whether a valid coloring of K_n exists.
+                 counter: _Counter) -> tuple[Optional[list[int]], bool]:
+    """Decide whether a valid coloring of K_n exists, ticking ``counter`` per row step.
 
-    Returns (witness red rows or None, nodes used, budget_exhausted). A scout
-    collects the subtree partitions at a fixed depth, or decides n at or below
-    it. The partitions are searched in order until the first witness, on the
-    scout's counter, each with an even share of the budget the scout left.
-    """
-    counter = _Counter()
-    counter.allow(budget)
-    scout = _ColoringSearch(s, t, n, counter)
-    scout.stop_depth = _PARTITION_DEPTH
+    Returns (witness red rows or None, budget_exhausted)."""
+    search = _ColoringSearch(s, t, n, counter)
     try:
-        if scout.run():
-            return scout.witness, counter.count, False
+        search.run_from([0] * n, [0] * n, [], 0)
     except BudgetExceeded:
-        return None, counter.count, True
-    parts = scout.snapshots
-    if not parts:
-        return None, counter.count, False
-    left = None if budget is None else budget - counter.count
-
-    exhausted = False
-    for (red, blue, pending), share in zip(parts, _even_shares(left, len(parts))):
-        counter.allow(share)
-        sub = _ColoringSearch(s, t, n, counter)
-        try:
-            if sub.run_from(red, blue, pending, _PARTITION_DEPTH):
-                return sub.witness, counter.count, False
-        except BudgetExceeded:
-            exhausted = True
-    return None, counter.count, exhausted
+        return None, True
+    return search.witness, False
 
 
 def ramsey_exact_small(s: int, t: int, n_max: int = 64,
@@ -460,9 +427,10 @@ def ramsey_exact_small(s: int, t: int, n_max: int = 64,
     the search decides one size at a time whether a valid coloring exists.
     The first size with none is the exact value. If the node budget runs out
     or the size cap n_max is passed first, the result is the interval
-    certified so far (upper bound None). Budgets count search nodes, so equal
-    inputs give equal results on any machine. ``workers`` is validated but
-    has no effect: the search runs in the calling thread.
+    certified so far (upper bound None). One budget counts the row-search
+    nodes of all sizes in search order, so ``nodes`` never exceeds it and
+    equal inputs give equal results on any machine. ``workers`` is validated
+    but has no effect: the search runs in the calling thread.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -471,22 +439,18 @@ def ramsey_exact_small(s: int, t: int, n_max: int = 64,
     if n_max > 64:
         raise ValueError(f"n_max must be <= 64, got {n_max}")
 
+    counter = _Counter(node_budget)
     witness = _multipartite_witness(s, t)
     _verify_witness(witness, s, t)
     lower = witness.n + 1
-    nodes = 0
     while lower <= n_max:
-        share = None if node_budget is None else node_budget - nodes
-        if share is not None and share <= 0:
-            return RamseyResult(s, t, lower, None, nodes, witness, budget_exhausted=True)
-        rows, used, over = _search_size(s, t, lower, share)
-        nodes += used
+        rows, over = _search_size(s, t, lower, counter)
         if over:
-            return RamseyResult(s, t, lower, None, nodes, witness, budget_exhausted=True)
+            return RamseyResult(s, t, lower, None, counter.count, witness, budget_exhausted=True)
         if rows is None:
             _verify_witness(witness, s, t)
-            return RamseyResult(s, t, lower, lower, nodes, witness)
+            return RamseyResult(s, t, lower, lower, counter.count, witness)
         witness = Graph(lower, tuple(rows))
         _verify_witness(witness, s, t)
         lower += 1
-    return RamseyResult(s, t, lower, None, nodes, witness)
+    return RamseyResult(s, t, lower, None, counter.count, witness)

@@ -177,6 +177,16 @@ def test_input_errors_exit_one(tmp_path, capsys):
         ["minprod", "--n", "0"],
         ["ramsey", "bound", "--s", "3", "--t", "3", "--table", "/does/not/exist"],
         [],
+        # A negative budget is refused by every command that takes one.
+        ["f", "exact", "--n", "5", "--budget", "-1"],
+        ["f", "search", "--n", "5", "--budget", "-1"],
+        ["ramsey", "small", "--s", "3", "--t", "3", "--budget", "-5"],
+        ["graph", "stats", "--graph6", "Dhc", "--budget", "-1"],
+        ["graph", "color", "--graph6", "Dhc", "--budget", "-1"],
+        # So is a conjecture scan below s_max = 1.
+        ["conjecture", "rdc", "--s-max", "-3"],
+        ["conjecture", "mult", "--s-max", "0"],
+        ["conjecture", "weak-mult", "--s-max", "0"],
     ):
         code, _ = run_cli(argv)
         assert code == 1, argv

@@ -77,20 +77,25 @@ def test_max_ratio_exact_rejects_big_n():
 
 
 # max_ratio_exact(7) under a budget: (budget, value, witness graph6, extension
-# tests, exhaustive). The budget is split over 11 subtrees, so records stay
-# partial even when fewer tests than the budget were spent.
+# tests, exhaustive). The budget is spent depth first: the first graph on 7
+# vertices is scored at test 6, the witness at test 654, and test 11290 ends
+# the enumeration.
 _F7_BUDGETED = [
-    (100, "1/1", "F????", 111, False),
-    (1000, "4/3", "FLr~o", 1011, False),
-    (5000, "3/2", "F@QM?", 3486, False),
-    (20000, "3/2", "F?Ch_", 8818, False),
-    (None, "3/2", "F?Ch_", 11290, True),
+    (6, "1/1", "F????", 6, False),
+    (653, "1/1", "F????", 653, False),
+    (654, "3/2", "F?Ch_", 654, False),
+    (11289, "3/2", "F?Ch_", 11289, False),
+    (11290, "3/2", "F?Ch_", 11290, True),
+    (20000, "3/2", "F?Ch_", 11290, True),
 ]
 
 
 def test_max_ratio_exact_budget():
-    with pytest.raises(BudgetExceeded):
-        max_ratio_exact(6, node_budget=0)
+    for budget in (0, 5):
+        with pytest.raises(BudgetExceeded):
+            max_ratio_exact(7, node_budget=budget)
+    with pytest.raises(ValueError):
+        max_ratio_exact(7, node_budget=-1)
     partial = max_ratio_exact(6, node_budget=200)
     assert not partial.exhaustive
     assert partial.value >= Ratio(1, 1)
@@ -157,6 +162,8 @@ def test_max_ratio_search_strategies():
         max_ratio_search(12, strategy="quantum")
     with pytest.raises(ValueError):
         max_ratio_search(12, workers=0)
+    with pytest.raises(ValueError):
+        max_ratio_search(12, node_budget=-1)
 
 
 def test_max_ratio_search_finds_mycielski_level():

@@ -4,7 +4,9 @@ import pytest
 
 from chiomega.graphs import complete_graph, cycle_graph, empty_graph, random_graph
 from chiomega.invariants import (
+    BudgetExceeded,
     ColoringCertificate,
+    _Counter,
     chromatic_number,
     clique_number,
     greedy_erdos_coloring,
@@ -126,6 +128,21 @@ def test_chromatic_budget_degrades_gracefully():
     assert capped.value >= exact.value
     assert not capped.exact
     assert is_proper_coloring(g, capped.witness)
+    with pytest.raises(ValueError):
+        chromatic_number(g, node_budget=-1)
+
+
+def test_counter_refuses_the_node_past_its_limit():
+    counter = _Counter(2)
+    counter.tick()
+    counter.tick()
+    with pytest.raises(BudgetExceeded):
+        counter.tick()
+    assert counter.count == 2
+    with pytest.raises(BudgetExceeded):
+        _Counter(0).tick()
+    with pytest.raises(ValueError):
+        _Counter(-1)
 
 
 def test_extreme_graphs():

@@ -233,18 +233,18 @@ def test_ramsey_33_against_brute_force():
 
 # ramsey_exact_small(3, 5) under a budget: (budget, lower, nodes, red witness).
 _R35_BUDGETED = [
-    (50, 9, 51, "G?~vf_"),
-    (5000, 11, 3399, "I?CaCFCw?"),
-    (200000, 12, 69153, "J?CaCFCyF_?"),
+    (50, 9, 50, "G?~vf_"),
+    (5000, 12, 5000, "J?CaCFCyF_?"),
+    (200000, 13, 200000, "K?CaJAHceg\\?"),
 ]
 
 
 # ramsey_exact_small(3, 4) under a budget: (budget, lower, nodes, red witness).
 _R34_BUDGETED = [
-    (1, 7, 2, "EFz_"),
-    (10, 7, 11, "EFz_"),
-    (100, 7, 106, "EFz_"),
-    (1000, 8, 745, "F@QM?"),
+    (1, 7, 1, "EFz_"),
+    (10, 7, 10, "EFz_"),
+    (100, 8, 100, "F@QM?"),
+    (1000, 9, 1000, "G@QMf?"),
 ]
 
 
@@ -258,6 +258,36 @@ def test_ramsey_budget_returns_certified_interval():
             assert result.witness_red.n == result.lower - 1
             assert ((result.lower, result.nodes, to_graph6(result.witness_red))
                     == (lower, nodes, red)), (t, budget)
+
+
+# ramsey_exact_small(3, t): (least budget that reaches lower, lower). One
+# budget covers all sizes in search order, so lower steps up exactly when the
+# budget reaches the node that completes the next witness.
+_RAMSEY_STEPS = {
+    4: ((93, 8), (260, 9)),
+    5: ((266, 10), (755, 11), (1484, 12)),
+}
+
+
+def test_ramsey_budget_is_spent_in_search_order():
+    for t, budgets in ((4, range(0, 4700, 97)), (5, (0, 1, 10, 100, 1000, 3000, 20000))):
+        prev = 0
+        for budget in budgets:
+            result = ramsey_exact_small(3, t, node_budget=budget)
+            assert result.nodes <= budget, (t, budget)
+            assert result.lower >= prev, (t, budget)
+            prev = result.lower
+    for t, steps in _RAMSEY_STEPS.items():
+        for budget, lower in steps:
+            assert ramsey_exact_small(3, t, node_budget=budget - 1).lower == lower - 1
+            assert ramsey_exact_small(3, t, node_budget=budget).lower == lower
+    # R(3,4) = 9 is certified by 4551 nodes in all, and not by one fewer.
+    full = ramsey_exact_small(3, 4, node_budget=4551)
+    assert full.exact and full.nodes == 4551 and not full.budget_exhausted
+    short = ramsey_exact_small(3, 4, node_budget=4550)
+    assert (short.upper, short.nodes, short.budget_exhausted) == (None, 4550, True)
+    with pytest.raises(ValueError):
+        ramsey_exact_small(3, 4, node_budget=-1)
 
 
 def test_ramsey_size_cap_returns_interval():
