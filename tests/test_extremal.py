@@ -1,5 +1,6 @@
 """Exact f(n) enumeration, ratio arithmetic, search heuristics, and the table."""
 
+import hashlib
 import math
 import re
 
@@ -41,6 +42,26 @@ def test_canonical_enumeration_counts():
     expected = [1, 2, 4, 11, 34, 156]
     for n, count in enumerate(expected, start=1):
         assert sum(1 for _ in canonical_graphs(n)) == count
+
+
+# SHA-256 of the newline-joined graph6 strings of canonical_graphs(n), in yield
+# order. The counts alone would not notice a change of which labelling of a
+# class is accepted, or of the order in which the classes come out.
+_CANONICAL_SHA256 = {
+    1: "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae",
+    2: "66f7cc5c004391e37949da741ea5ce5831ff34dd3c3a4e2bea3ccd225d7b2fb1",
+    3: "f78b1e961185bb637907c0c3de52876ceb3eb2fee4073e88b23fc8308cee8ad4",
+    4: "d8e1fee983736b5675a742e48dd3d88a123bb4491e8c646808b757ee9ca7f09c",
+    5: "a1648ecf47e851e463f0debacf845da6e1dfc0e13962fa0cd931bea02eb3d74b",
+    6: "937945bcbd08d9fc1f64a55ddbb6b5b1eb3c917c4d7e826404845566b3ae5237",
+    7: "6f4ee8007a8683bc24a7af466af521e3307d0b6ab5eb746ea02347f5b0a1617e",
+}
+
+
+def test_canonical_enumeration_pins_labelled_representatives():
+    for n, digest in _CANONICAL_SHA256.items():
+        text = "\n".join(to_graph6(g) for g in canonical_graphs(n))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, n
 
 
 def test_canonical_enumeration_yields_distinct_invariant_profiles():
