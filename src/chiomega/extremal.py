@@ -158,49 +158,46 @@ class RatioWitnessReport:
 # so canonical graphs form a tree under "add one vertex": enumerating each
 # size's canonical extensions visits every isomorphism class exactly once,
 # with no stored seen-set.
-
-
-def _column(adj, x: int, order: list[int], length: int) -> int:
-    """Column bits of vertex ``x`` against ``order[:length]``, row 0 most significant."""
-    col = 0
-    row = adj[x]
-    for u in range(length):
-        col = col << 1 | (row >> order[u] & 1)
-    return col
+#
+# The canonicity test places vertices one position at a time. With positions
+# 0..v-1 filled, a free vertex's column at position v is compared with the
+# identity's column v row by row, row 0 first, and only the free vertices tied
+# so far matter. So the tie set is one bitmask, narrowed by one neighbourhood
+# mask per row: where the identity has a 1, a tied vertex with a 0 has the
+# smaller column and beats the identity; where it has a 0, the tied vertices
+# with a 1 are larger and drop out. This is the lexicographic comparison of
+# every free vertex's column at once, so it accepts exactly the labelings that
+# the vertex-by-vertex comparison does; no column is ever built.
 
 
 def _is_canonical(adj: tuple[int, ...]) -> bool:
     """Whether the labeled graph's bitstring is minimal over all relabelings."""
     n = len(adj)
-    own = [0] * n
-    ident = list(range(n))
-    for v in range(1, n):
-        own[v] = _column(adj, v, ident, v)
-    order: list[int] = []
-    used = [False] * n
+    rows = [0] * n  # rows[u]: neighbourhood of the vertex placed at position u
 
-    def place(v: int) -> bool:
-        # True means some completion beats the identity labeling.
-        if v == n:
+    def beaten(v: int, free: int) -> bool:
+        # True means some completion of positions v.. beats the identity labeling.
+        eq = free
+        own = adj[v]
+        for u in range(v):
+            if own >> u & 1:
+                if eq & ~rows[u]:
+                    return True  # otherwise every tied vertex has a 1 and stays tied
+            else:
+                eq &= ~rows[u]
+                if not eq:
+                    return False
+        if v == n - 1:
             return False
-        for x in range(n):
-            if used[x]:
-                continue
-            if v:
-                col = _column(adj, x, order, v)
-                if col > own[v]:
-                    continue
-                if col < own[v]:
-                    return True
-            used[x] = True
-            order.append(x)
-            if place(v + 1):
+        while eq:
+            bit = eq & -eq
+            rows[v] = adj[bit.bit_length() - 1]
+            if beaten(v + 1, free ^ bit):
                 return True
-            order.pop()
-            used[x] = False
+            eq ^= bit
         return False
 
-    return not place(0)
+    return not beaten(0, (1 << n) - 1)
 
 
 def _extend(adj: tuple[int, ...], mask: int) -> tuple[int, ...]:

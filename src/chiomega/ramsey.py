@@ -448,7 +448,6 @@ def ramsey_exact_small(s: int, t: int, n_max: int = 64,
         if over:
             return RamseyResult(s, t, lower, None, counter.count, witness, budget_exhausted=True)
         if rows is None:
-            _verify_witness(witness, s, t)
             return RamseyResult(s, t, lower, lower, counter.count, witness)
         witness = Graph(lower, tuple(rows))
         _verify_witness(witness, s, t)

@@ -1,6 +1,7 @@
 """Exact f(n) enumeration, ratio arithmetic, search heuristics, and the table."""
 
 import hashlib
+import itertools
 import math
 import re
 
@@ -10,6 +11,7 @@ from chiomega.extremal import (
     Ratio,
     RatioRecord,
     SearchMeta,
+    _is_canonical,
     canonical_graphs,
     load_ratio_table,
     max_ratio_exact,
@@ -20,7 +22,7 @@ from chiomega.extremal import (
     save_ratio_table,
     verify_ratio_table,
 )
-from chiomega.graphs import cycle_graph, from_graph6, to_graph6
+from chiomega.graphs import cycle_graph, from_graph6, random_graph, to_graph6
 from chiomega.invariants import BudgetExceeded, chromatic_number, clique_number
 
 
@@ -62,6 +64,45 @@ def test_canonical_enumeration_pins_labelled_representatives():
     for n, digest in _CANONICAL_SHA256.items():
         text = "\n".join(to_graph6(g) for g in canonical_graphs(n))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, n
+
+
+def _brute_canonical(adj: tuple[int, ...]) -> tuple[bool, tuple[int, ...]]:
+    """Whether the identity's string is the least over all n! relabelings, and the
+    least relabeling; strings are column-major upper triangles, row 0 first."""
+    n = len(adj)
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+
+    def string(p):
+        return tuple(adj[p[u]] >> p[v] & 1 for u, v in pairs)
+
+    best = min(itertools.permutations(range(n)), key=string)
+    least = tuple(sum(1 << j for j in range(n) if adj[best[i]] >> best[j] & 1)
+                  for i in range(n))
+    return string(best) == string(range(n)), least
+
+
+def test_is_canonical_agrees_with_brute_force():
+    cases = []
+    for n in range(1, 6):  # every labelled graph: 1 + 2 + 8 + 64 + 1024
+        pairs = [(u, v) for v in range(n) for u in range(v)]
+        for m in range(1 << len(pairs)):
+            adj = [0] * n
+            for k, (u, v) in enumerate(pairs):
+                if m >> k & 1:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+            cases.append((tuple(adj), _brute_canonical(tuple(adj))[0]))
+    # Exactly one labelling per class is least: 1 + 2 + 4 + 11 + 34 classes.
+    assert len(cases) == 1099 and sum(expected for _, expected in cases) == 52
+    # Random labelled graphs are almost never canonical and their least
+    # relabelings always are, so both answers are tested at n = 6, 7.
+    for n, count in ((6, 25), (7, 8)):
+        for seed in range(count):
+            adj = random_graph(n, 0.5, seed=seed).adj
+            is_least, least = _brute_canonical(adj)
+            cases += [(adj, is_least), (least, True)]
+    for adj, expected in cases:
+        assert _is_canonical(adj) == expected, adj
 
 
 def test_canonical_enumeration_yields_distinct_invariant_profiles():

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from chiomega.graphs import from_graph6, paley_graph, to_graph6
+from chiomega.graphs import Graph, complete_graph, from_graph6, paley_graph, to_graph6
 from chiomega.invariants import clique_number
 from chiomega.ramsey import (
     BoundsTable,
@@ -207,6 +207,29 @@ def test_ramsey_33_with_verified_witness():
     assert clique_number(blue).value <= 2
     # The only triangle-free self-complementary-coloring on 5 vertices: C5.
     assert all(red.degree(v) == 2 for v in range(5))
+
+
+def test_ramsey_verifies_each_witness_once(monkeypatch):
+    import chiomega.ramsey as ramsey
+
+    calls = []
+
+    def counting(g):
+        calls.append(g.n)
+        return clique_number(g)
+
+    monkeypatch.setattr(ramsey, "clique_number", counting)
+    # Red and blue check of the start witness, then of each witness the search
+    # finds; the exhausted size adds none.
+    for s, t, sizes in ((3, 3, [4, 4, 5, 5]), (3, 4, [6, 6, 7, 7, 8, 8])):
+        calls.clear()
+        assert ramsey_exact_small(s, t).value == sizes[-1] + 1
+        assert calls == sizes
+    # The start witness is still checked: a red triangle, or a blue K_4 here.
+    for tampered in (complete_graph(6), Graph(6, (0,) * 6)):
+        monkeypatch.setattr(ramsey, "_multipartite_witness", lambda s, t, g=tampered: g)
+        with pytest.raises(RuntimeError, match="witness verification failed"):
+            ramsey_exact_small(3, 4)
 
 
 def _brute_arrowing(n: int, s: int, t: int) -> bool:
