@@ -86,12 +86,13 @@ def test_is_canonical_agrees_with_brute_force():
     for n in range(1, 6):  # every labelled graph: 1 + 2 + 8 + 64 + 1024
         pairs = [(u, v) for v in range(n) for u in range(v)]
         for m in range(1 << len(pairs)):
-            adj = [0] * n
+            rows = [0] * n
             for k, (u, v) in enumerate(pairs):
                 if m >> k & 1:
-                    adj[u] |= 1 << v
-                    adj[v] |= 1 << u
-            cases.append((tuple(adj), _brute_canonical(tuple(adj))[0]))
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+            adj = tuple(rows)
+            cases.append((adj, _brute_canonical(adj)[0]))
     # Exactly one labelling per class is least: 1 + 2 + 4 + 11 + 34 classes.
     assert len(cases) == 1099 and sum(expected for _, expected in cases) == 52
     # Random labelled graphs are almost never canonical and their least
