@@ -137,9 +137,32 @@ def _max_clique(adj: tuple[int, ...], cand: int) -> tuple[int, int]:
 
 
 def _exists_clique(adj: tuple[int, ...], cand: int, k: int) -> bool:
-    """Decision version: does ``cand`` contain a clique on k vertices?"""
-    if k <= 0:
-        return True
+    """Decision version: does ``cand`` contain a clique on k vertices?
+
+    Cliques on up to three vertices are looked for directly; from k = 4 on a
+    greedy coloring of ``cand`` bounds the branch and bound.
+    """
+    if k <= 1:
+        return k <= 0 or cand != 0
+    # For k = 2 and 3, each vertex is tried against the candidates above it only.
+    if k == 2:
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            if cand & adj[b.bit_length() - 1]:
+                return True
+        return False
+    if k == 3:
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            nb = cand & adj[b.bit_length() - 1]
+            while nb:
+                c = nb & -nb
+                nb ^= c
+                if nb & adj[c.bit_length() - 1]:
+                    return True
+        return False
     if cand.bit_count() < k:
         return False
     order, bounds = _color_sort(adj, cand)

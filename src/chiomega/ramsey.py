@@ -2,7 +2,8 @@
 
 R(s, t) is the least n such that every red/blue coloring of the edges of K_n
 contains a red K_s or a blue K_t. This module computes small values exactly by
-vertex-by-vertex backtracking with lexicographic symmetry breaking, propagates
+vertex-by-vertex backtracking with lexicographic symmetry breaking, run as one
+loop over an explicit stack of rows rather than a recursion, propagates
 classical recurrence bounds through a table of known intervals, and derives
 lower bounds from explicit witness graphs.
 """
@@ -284,106 +285,130 @@ class _ColoringSearch:
     smallest valid coloring is never rejected, which keeps both existence and
     nonexistence conclusions sound. Every row step ticks ``counter``, which
     holds the node count and budget of a whole ``ramsey_exact_small`` call.
+
+    ``run_from`` is one loop over an explicit stack, not a recursion: the row
+    being built is its two partial masks, whose bits record the color chosen
+    at each decided position (a blue bit still has red to try, a red bit is
+    done), and each accepted row is committed into the red and blue rows,
+    with the label swaps it was checked against pushed on a stack, to be
+    restored when the search backs up into it.
     """
 
     def __init__(self, s: int, t: int, n: int, counter: _Counter) -> None:
         self.s, self.t, self.n = s, t, n
-        self.red = [0] * n
-        self.blue = [0] * n
         self.counter = counter
         self.witness: Optional[list[int]] = None
 
-    def run_from(self, red: list[int], blue: list[int], pending: list[tuple[int, int]],
-                 depth: int) -> bool:
-        """Search on from a coloring whose first ``depth`` rows are decided;
-        True iff a full valid coloring, left in ``witness``, was found."""
-        self.red = list(red)
-        self.blue = list(blue)
-        return self._extend(depth, list(pending))
-
-    def _extend(self, v: int, pending: list[tuple[int, int]]) -> bool:
-        if v == self.n:
-            self.witness = list(self.red)
-            return True
-        return self._row(v, 0, 0, 0, pending)
-
-    def _row(self, v: int, u: int, rmask: int, bmask: int,
-             pending: list[tuple[int, int]]) -> bool:
-        self.counter.tick()
-        if u == v:
-            return self._complete_row(v, rmask, bmask, pending)
-        # Blue first: blue bits sort lexicographically below red ones.
-        if not _exists_clique(self.blue, bmask & self.blue[u], self.t - 2):
-            if self._row(v, u + 1, rmask, bmask | 1 << u, pending):
-                return True
-        if self.s == self.t and v == 1:
-            # With symmetric roles the color swap is a symmetry; fixing the
-            # first edge blue halves the tree without losing existence.
-            return False
-        if not _exists_clique(self.red, rmask & self.red[u], self.s - 2):
-            if self._row(v, u + 1, rmask | 1 << u, bmask, pending):
-                return True
-        return False
-
-    def _complete_row(self, v: int, rmask: int, bmask: int,
-                      pending: list[tuple[int, int]]) -> bool:
-        red, blue = self.red, self.blue
-        # Ties among earlier label swaps are decided by the new column only at
-        # rows i and j, so each carried pair costs O(1) here.
-        new_pending = []
-        for i, j in pending:
-            ci = rmask >> i & 1
-            cj = rmask >> j & 1
-            if ci == cj:
-                new_pending.append((i, j))
-            elif cj < ci:
-                return False
-        red[v] = rmask
-        blue[v] = bmask
-        for x in range(v):
-            bit = 1 << v
-            if rmask >> x & 1:
-                red[x] |= bit
-            else:
-                blue[x] |= bit
-        try:
-            for i in range(v):
-                cmp = self._compare_swap(i, v)
-                if cmp < 0:
-                    return False
-                if cmp == 0:
-                    new_pending.append((i, v))
-            return self._extend(v + 1, new_pending)
-        finally:
-            red[v] = 0
-            blue[v] = 0
-            mask = ~(1 << v)
-            for x in range(v):
-                red[x] &= mask
-                blue[x] &= mask
-
-    def _compare_swap(self, i: int, v: int) -> int:
-        """Compare the coloring against its image under swapping labels i and v.
-
-        Returns -1 if the swapped image is lexicographically smaller (prune),
-        1 if larger (the pair is settled for good), 0 on a tie over all
-        decided positions (columns 1..v in vertex order, rows ascending).
-        """
-        red = self.red
-        for w in range(1, v + 1):
-            touches = w == i or w == v
-            for x in range(w):
-                if not (touches or x == i):
+    def run_from(self) -> bool:
+        """Search from the empty coloring; True iff a full valid coloring,
+        left in ``witness``, was found."""
+        n = self.n
+        red = [0] * n
+        blue = [0] * n
+        tick = self.counter.tick
+        ks, kt = self.s - 2, self.t - 2
+        # With symmetric roles the color swap is a symmetry; fixing the first
+        # edge blue halves the tree without losing existence.
+        blue_first_edge = self.s == self.t
+        v = 0
+        pending: list[tuple[int, int]] = []
+        # The ties each accepted row below v was checked against.
+        accepted: list[list[tuple[int, int]]] = []
+        u = rmask = bmask = 0
+        while True:
+            # Visit the node (v, u, rmask, bmask): bits 0..u-1 of row v are decided.
+            tick()
+            if u < v:
+                # Blue first: blue bits sort lexicographically below red ones.
+                blue_ok = not _exists_clique(blue, bmask & blue[u], kt)
+                bmask |= 1 << u
+                u += 1
+                if blue_ok:
                     continue
-                a = red[w] >> x & 1
-                px = v if x == i else x
-                pw = i if w == v else (v if w == i else w)
-                if px > pw:
-                    px, pw = pw, px
-                b = red[pw] >> px & 1
-                if a != b:
-                    return -1 if b < a else 1
-        return 0
+                # Blue is pruned at u: back up as if its subtree were exhausted.
+            else:
+                ties = _accept_row(red, v, rmask, pending)
+                if ties is not None:
+                    red[v] = rmask
+                    blue[v] = bmask
+                    bit = 1 << v
+                    for x in range(v):
+                        if rmask >> x & 1:
+                            red[x] |= bit
+                        else:
+                            blue[x] |= bit
+                    v += 1
+                    if v == n:
+                        self.witness = list(red)
+                        return True
+                    accepted.append(pending)
+                    pending = ties
+                    u = rmask = bmask = 0
+                    continue
+            # Back up from an exhausted node to the nearest position whose red
+            # child is still untried and not pruned; then visit that child.
+            while True:
+                if u == 0:
+                    if v == 0:
+                        return False
+                    v -= 1
+                    pending = accepted.pop()
+                    low = (1 << v) - 1
+                    rmask = red[v] & low
+                    bmask = blue[v] & low
+                    red[v] = blue[v] = 0
+                    keep = ~(1 << v)
+                    for x in range(v):
+                        red[x] &= keep
+                        blue[x] &= keep
+                    u = v
+                    continue
+                u -= 1
+                bit = 1 << u
+                if rmask & bit:
+                    rmask ^= bit
+                    continue
+                bmask ^= bit
+                if blue_first_edge and v == 1:
+                    continue
+                if not _exists_clique(red, rmask & red[u], ks):
+                    rmask |= bit
+                    u += 1
+                    break
+
+
+def _accept_row(red: list[int], v: int, rmask: int,
+                pending: list[tuple[int, int]]) -> Optional[list[tuple[int, int]]]:
+    """Symmetry-break the completed row v, whose red bits toward 0..v-1 are ``rmask``.
+
+    Returns None if swapping two labels makes the coloring lexicographically
+    smaller (columns 1..v in vertex order, rows ascending, blue < red), or else
+    the label swaps still tied, which the next rows must decide. ``red`` holds
+    rows 0..v-1, symmetric over those vertices; row v is not yet committed.
+    """
+    # A swap (i, j) tied before row v is decided by the new column alone, at
+    # rows i and j.
+    ties = []
+    for i, j in pending:
+        ci = rmask >> i & 1
+        cj = rmask >> j & 1
+        if ci == cj:
+            ties.append((i, j))
+        elif ci:
+            return None
+    # Under the swap (i v) only positions in rows or columns i and v move. The
+    # first in column-major order is the first x < v, x != i, where rows i and
+    # v differ (column i's rows x < i come first; at x > i, column x meets rows
+    # i and v; column v repeats the same comparisons). The image is smaller iff
+    # row i is red there.
+    low = (1 << v) - 1
+    for i in range(v):
+        diff = (red[i] ^ rmask) & low & ~(1 << i)
+        if not diff:
+            ties.append((i, v))
+        elif red[i] & diff & -diff:
+            return None
+    return ties
 
 
 def _multipartite_witness(s: int, t: int) -> Graph:
@@ -412,7 +437,7 @@ def _search_size(s: int, t: int, n: int,
     Returns (witness red rows or None, budget_exhausted)."""
     search = _ColoringSearch(s, t, n, counter)
     try:
-        search.run_from([0] * n, [0] * n, [], 0)
+        search.run_from()
     except BudgetExceeded:
         return None, True
     return search.witness, False

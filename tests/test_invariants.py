@@ -1,5 +1,8 @@
 """Exact invariants against naive oracles, plus the greedy-coloring guarantee."""
 
+import itertools
+import random
+
 import pytest
 
 from chiomega.graphs import complete_graph, cycle_graph, empty_graph, random_graph
@@ -7,6 +10,7 @@ from chiomega.invariants import (
     BudgetExceeded,
     ColoringCertificate,
     _Counter,
+    _exists_clique,
     chromatic_number,
     clique_number,
     greedy_erdos_coloring,
@@ -39,6 +43,21 @@ def test_independence_number_against_brute_force():
         assert len(members) == result.value
         assert not any(g.has_edge(u, v) for i, u in enumerate(members) for v in members[i + 1:])
         assert tuple(members) == brute_first_max_clique(g.complement())
+
+
+def test_exists_clique_against_brute_force():
+    # k = 0..3 are decided directly, k >= 4 by the color-sort branch and
+    # bound; each is checked on random candidate masks of random graphs.
+    rng = random.Random(5)
+    for seed in range(60):
+        g = random_graph(3 + seed % 10, (0.3, 0.5, 0.7, 0.9)[seed % 4], seed=900 + seed)
+        for _ in range(6):
+            cand = rng.getrandbits(g.n) | (g.full_mask() if rng.random() < 0.3 else 0)
+            verts = [v for v in range(g.n) if cand >> v & 1]
+            for k in range(6):
+                expected = any(all(g.has_edge(a, b) for a, b in itertools.combinations(sub, 2))
+                               for sub in itertools.combinations(verts, k))
+                assert _exists_clique(g.adj, cand, k) == expected, (seed, cand, k)
 
 
 def test_greedy_classes_are_lex_smallest_independent_sets():

@@ -2,7 +2,9 @@
 
 import itertools
 import json
+import random
 import re
+import sys
 
 import pytest
 
@@ -11,6 +13,7 @@ from chiomega.invariants import clique_number
 from chiomega.ramsey import (
     BoundsTable,
     RamseyBoundRecord,
+    _accept_row,
     erdos_szekeres_bound,
     load_bounds_table,
     lower_bound_from_graph,
@@ -200,6 +203,9 @@ def test_ramsey_validation():
 def test_ramsey_33_with_verified_witness():
     result = ramsey_exact_small(3, 3)
     assert result.exact and result.value == 6
+    # Fixing the first edge blue (the color swap is a symmetry when s == t)
+    # is part of this count: without it the search takes 104 nodes.
+    assert result.nodes == 97
     red = result.witness_red
     blue = result.witness_blue
     assert red.n == 5
@@ -311,6 +317,74 @@ def test_ramsey_budget_is_spent_in_search_order():
     assert (short.upper, short.nodes, short.budget_exhausted) == (None, 4550, True)
     with pytest.raises(ValueError):
         ramsey_exact_small(3, 4, node_budget=-1)
+
+
+def test_ramsey_35_from_scratch():
+    result = ramsey_exact_small(3, 5)
+    assert (result.lower, result.upper, result.nodes) == (14, 14, 5175076)
+    assert to_graph6(result.witness_red) == "L?CaJPoakiUOr?"
+
+
+def test_row_search_does_not_recurse_per_bit():
+    # A search that recursed per bit would need a frame for each of the 36
+    # edges of K_9, the size R(3,4) exhausts; the recursive search this loop
+    # replaced needed between 60 and 80.
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 20)
+    try:
+        result = ramsey_exact_small(3, 4)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (result.value, result.nodes) == (9, 4551)
+
+
+def _swap_order(red: list[int], last: int, i: int, j: int) -> int:
+    """Compare a coloring with its image under swapping labels i and j, over
+    columns 1..last in vertex order, rows ascending, blue < red: -1 if the
+    image is smaller, 0 on a tie, 1 if it is larger."""
+    label = list(range(len(red)))
+    label[i], label[j] = j, i
+    for w in range(1, last + 1):
+        for x in range(w):
+            a = red[x] >> w & 1
+            b = red[label[x]] >> label[w] & 1
+            if a != b:
+                return -1 if b < a else 1
+    return 0
+
+
+def test_accept_row_matches_full_lexicographic_swap_order():
+    # Random symmetric colorings of K_{v+1} that survived rows 0..v-1: every
+    # swap of two earlier labels compares >= 0 over columns 1..v-1, and the
+    # tied ones are pending. Row v is rejected iff some swap, old or new,
+    # makes the image smaller over columns 1..v; otherwise the ties remain.
+    rng = random.Random(11)
+    outcomes = {True: 0, False: 0}
+    for _ in range(20000):
+        v = rng.randrange(1, 8)
+        red = [0] * (v + 1)
+        for x, w in itertools.combinations(range(v + 1), 2):
+            if rng.random() < 0.5:
+                red[x] |= 1 << w
+                red[w] |= 1 << x
+        earlier = list(itertools.combinations(range(v), 2))
+        if any(_swap_order(red, v - 1, i, j) < 0 for i, j in earlier):
+            continue
+        pending = [(i, j) for i, j in earlier if _swap_order(red, v - 1, i, j) == 0]
+        rows = [r & ((1 << v) - 1) for r in red[:v]]
+        got = _accept_row(rows, v, red[v], list(pending))
+        pairs = pending + [(i, v) for i in range(v)]
+        if any(_swap_order(red, v, i, j) < 0 for i, j in pairs):
+            assert got is None, (v, red)
+        else:
+            assert got == [(i, j) for i, j in pairs if _swap_order(red, v, i, j) == 0], (v, red)
+        outcomes[got is None] += 1
+    assert min(outcomes.values()) > 500, outcomes
 
 
 def test_ramsey_size_cap_returns_interval():
