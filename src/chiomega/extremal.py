@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from ._records import load_packaged, read_fields, read_records, write_records
 from .graphs import (
@@ -189,45 +189,76 @@ def _is_canonical(adj: tuple[int, ...]) -> bool:
                     return False
         if v == n - 1:
             return False
+        first = eq & -eq
+        first_row = adj[first.bit_length() - 1]
         while eq:
             bit = eq & -eq
-            rows[v] = adj[bit.bit_length() - 1]
+            eq ^= bit
+            row = adj[bit.bit_length() - 1]
+            # A twin of the first vertex tried here (equal neighbourhoods apart
+            # from each other) leads to the same strings: swapping the two is
+            # an automorphism that fixes the placed prefix.
+            if bit != first and not (row ^ first_row) & ~(bit | first):
+                continue
+            rows[v] = row
             if beaten(v + 1, free ^ bit):
                 return True
-            eq ^= bit
         return False
 
-    return not beaten(0, (1 << n) - 1)
+    canonical = not beaten(0, (1 << n) - 1)
+    # beaten refers to itself through its closure: break that cycle so that
+    # each call frees its rows at once, not at the next garbage collection.
+    del beaten
+    return canonical
 
 
 def _extend(adj: tuple[int, ...], mask: int) -> tuple[int, ...]:
     """Add one vertex adjacent to ``mask``."""
     k = len(adj)
     bit = 1 << k
-    return tuple((row | bit if mask >> v & 1 else row) for v, row in enumerate(adj)) + (mask,)
+    # One tuple of the final size: tuple(<generator>) would build one of a
+    # guessed size and resize it, which moves memory between CPython's
+    # per-size tuple free lists and grows the process over repeated searches.
+    return (*(row | bit if mask >> v & 1 else row for v, row in enumerate(adj)), mask)
+
+
+MaskSource = Callable[[tuple[int, ...]], Iterable[int]]
+
+
+def _all_masks(counter: _Counter) -> MaskSource:
+    """Every extension mask of a parent in ascending order, ticking ``counter``
+    once per mask: the source that generates all graphs."""
+    def masks(adj: tuple[int, ...]) -> Iterator[int]:
+        for mask in range(1 << len(adj)):
+            counter.tick()
+            yield mask
+    return masks
 
 
 def _canonical_descendants(adj: tuple[int, ...], n: int,
-                           counter: _Counter) -> Iterator[tuple[int, ...]]:
+                           masks: MaskSource) -> Iterator[tuple[int, ...]]:
     """The canonical graphs on n vertices below ``adj`` in the extension tree.
 
-    Yields in a fixed order and ticks ``counter`` once per extension test.
+    ``masks(parent)`` gives the neighbourhoods a new vertex may take, in
+    ascending order, and does the source's own node counting. A source that
+    keeps only the children of a hereditary class generates that class: every
+    canonical graph's parent is an induced subgraph of it, so pruning at the
+    parent loses no class. Yields in a fixed order.
     """
     if len(adj) == n:
         yield adj
         return
-    for mask in range(1 << len(adj)):
-        counter.tick()
+    for mask in masks(adj):
         child = _extend(adj, mask)
         if _is_canonical(child):
-            yield from _canonical_descendants(child, n, counter)
+            yield from _canonical_descendants(child, n, masks)
 
 
 def canonical_graphs(n: int) -> Iterator[Graph]:
     """All graphs on n vertices up to isomorphism, one canonical labeling each."""
     if not 1 <= n <= 64:
         raise ValueError(f"need 1 <= n <= 64, got {n}")
-    for adj in _canonical_descendants((0,), n, _Counter()):
+    for adj in _canonical_descendants((0,), n, _all_masks(_Counter())):
         yield Graph(n, adj)
 
 
@@ -270,14 +301,15 @@ def max_ratio_exact(n: int, node_budget: Optional[int] = None, workers: int = 1,
         raise ValueError("workers must be >= 1")
 
     counter = _Counter(node_budget)
-    roots = [(0,)] if n <= _ROOT_SIZE else _canonical_descendants((0,), _ROOT_SIZE, counter)
+    masks = _all_masks(counter)
+    roots = [(0,)] if n <= _ROOT_SIZE else _canonical_descendants((0,), _ROOT_SIZE, masks)
     best: Optional[tuple[Ratio, Graph]] = None
     complete = True
     try:
         for root in roots:
             part: Optional[tuple[Ratio, Graph]] = None
             try:
-                for adj in _canonical_descendants(root, n, counter):
+                for adj in _canonical_descendants(root, n, masks):
                     g = Graph(n, adj)
                     omega = clique_number(g).value
                     # chi <= n caps the ratio at n/omega; skip the chromatic solve when

@@ -1,11 +1,12 @@
 """Exact small Ramsey numbers and a table of known Ramsey bounds.
 
 R(s, t) is the least n such that every red/blue coloring of the edges of K_n
-contains a red K_s or a blue K_t. This module computes small values exactly by
-vertex-by-vertex backtracking with lexicographic symmetry breaking, run as one
-loop over an explicit stack of rows rather than a recursion, propagates
-classical recurrence bounds through a table of known intervals, and derives
-lower bounds from explicit witness graphs.
+contains a red K_s or a blue K_t. Such a coloring with neither is an
+(s, t)-graph (red = edges): no K_s and no independent t-set. This module
+computes small values exactly by orderly generation of (s, t)-graphs, one
+isomorphism class at a time, with the generator that enumerates all graphs
+for f(n); propagates classical recurrence bounds through a table of known
+intervals; and derives lower bounds from explicit witness graphs.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from ._records import load_packaged, read_fields, read_records, write_records
+from .extremal import MaskSource, _canonical_descendants
 from .graphs import Graph, from_edges, to_graph6
 from .invariants import (BudgetExceeded, _Counter, _exists_clique, clique_number,
                          independence_number)
@@ -273,142 +275,72 @@ class RamseyResult:
         return to_graph6(self.witness_red), to_graph6(self.witness_blue)
 
 
+def _ramsey_masks(s: int, t: int, counter: _Counter) -> MaskSource:
+    """The extension masks that keep a child an (s, t)-graph, in ascending order.
+
+    The new vertex is red-adjacent (an edge) to the vertices inside the mask
+    and blue-adjacent to those outside. The child is an (s, t)-graph iff its
+    parent is and the mask holds no red K_{s-1} and its outside no blue
+    K_{t-1}. Bits are decided from the highest to the lowest vertex, outside
+    before inside, and each choice is pruned by one clique decision. The
+    depth-first search runs as one loop over an explicit stack of choices,
+    not as a recursion per bit. It ticks ``counter`` once per node: the empty
+    mask of each parent, and each bit decided.
+    """
+    ks, kt = s - 2, t - 2
+    tick = counter.tick
+
+    def masks(red: tuple[int, ...]) -> Iterator[int]:
+        k = len(red)
+        # A list, not tuple(<generator>): see extremal._extend.
+        blue = [((1 << k) - 1) & ~(row | 1 << v) for v, row in enumerate(red)]
+        tick()
+        # (vertex u, put it inside?, mask so far, outside so far); the top is tried next.
+        stack = [(k - 1, True, 0, 0), (k - 1, False, 0, 0)]
+        while stack:
+            u, inside, mask, out = stack.pop()
+            bit = 1 << u
+            if inside:
+                if _exists_clique(red, mask & red[u], ks):
+                    continue
+                mask |= bit
+            else:
+                if _exists_clique(blue, out & blue[u], kt):
+                    continue
+                out |= bit
+            tick()
+            if u:
+                stack.append((u - 1, True, mask, out))
+                stack.append((u - 1, False, mask, out))
+            else:
+                yield mask
+
+    return masks
+
+
 class _ColoringSearch:
-    """DFS for a red/blue coloring of K_n with no red K_s and no blue K_t.
+    """Search for a red/blue coloring of K_n with no red K_s and no blue K_t.
 
-    Vertices are added one at a time; each new vertex's color vector toward
-    earlier vertices is built bit by bit with incremental clique pruning.
-    After each completed row, transposition symmetry breaking rejects any
-    partial coloring that a swap of two labels would make lexicographically
-    smaller (blue < red, columns in vertex order), so only one labeled
-    representative per tracked symmetry survives. The lexicographically
-    smallest valid coloring is never rejected, which keeps both existence and
-    nonexistence conclusions sound. Every row step ticks ``counter``, which
-    holds the node count and budget of a whole ``ramsey_exact_small`` call.
-
-    ``run_from`` is one loop over an explicit stack, not a recursion: the row
-    being built is its two partial masks, whose bits record the color chosen
-    at each decided position (a blue bit still has red to try, a red bit is
-    done), and each accepted row is committed into the red and blue rows,
-    with the label swaps it was checked against pushed on a stack, to be
-    restored when the search backs up into it.
+    Such a coloring is an (s, t)-graph on n vertices (red = edges): a graph
+    with no K_s and no independent t-set. The search is orderly generation of
+    (s, t)-graphs, the same generator as ``canonical_graphs`` fed with the
+    masks of ``_ramsey_masks``, so each isomorphism class is visited once and
+    the first graph on n vertices is the witness. The mask searches tick
+    ``counter``, which holds the node count and budget of a whole
+    ``ramsey_exact_small`` call.
     """
 
     def __init__(self, s: int, t: int, n: int, counter: _Counter) -> None:
         self.s, self.t, self.n = s, t, n
         self.counter = counter
-        self.witness: Optional[list[int]] = None
+        self.witness: Optional[tuple[int, ...]] = None
 
     def run_from(self) -> bool:
-        """Search from the empty coloring; True iff a full valid coloring,
-        left in ``witness``, was found."""
-        n = self.n
-        red = [0] * n
-        blue = [0] * n
-        tick = self.counter.tick
-        ks, kt = self.s - 2, self.t - 2
-        # With symmetric roles the color swap is a symmetry; fixing the first
-        # edge blue halves the tree without losing existence.
-        blue_first_edge = self.s == self.t
-        v = 0
-        pending: list[tuple[int, int]] = []
-        # The ties each accepted row below v was checked against.
-        accepted: list[list[tuple[int, int]]] = []
-        u = rmask = bmask = 0
-        while True:
-            # Visit the node (v, u, rmask, bmask): bits 0..u-1 of row v are decided.
-            tick()
-            if u < v:
-                # Blue first: blue bits sort lexicographically below red ones.
-                blue_ok = not _exists_clique(blue, bmask & blue[u], kt)
-                bmask |= 1 << u
-                u += 1
-                if blue_ok:
-                    continue
-                # Blue is pruned at u: back up as if its subtree were exhausted.
-            else:
-                ties = _accept_row(red, v, rmask, pending)
-                if ties is not None:
-                    red[v] = rmask
-                    blue[v] = bmask
-                    bit = 1 << v
-                    for x in range(v):
-                        if rmask >> x & 1:
-                            red[x] |= bit
-                        else:
-                            blue[x] |= bit
-                    v += 1
-                    if v == n:
-                        self.witness = list(red)
-                        return True
-                    accepted.append(pending)
-                    pending = ties
-                    u = rmask = bmask = 0
-                    continue
-            # Back up from an exhausted node to the nearest position whose red
-            # child is still untried and not pruned; then visit that child.
-            while True:
-                if u == 0:
-                    if v == 0:
-                        return False
-                    v -= 1
-                    pending = accepted.pop()
-                    low = (1 << v) - 1
-                    rmask = red[v] & low
-                    bmask = blue[v] & low
-                    red[v] = blue[v] = 0
-                    keep = ~(1 << v)
-                    for x in range(v):
-                        red[x] &= keep
-                        blue[x] &= keep
-                    u = v
-                    continue
-                u -= 1
-                bit = 1 << u
-                if rmask & bit:
-                    rmask ^= bit
-                    continue
-                bmask ^= bit
-                if blue_first_edge and v == 1:
-                    continue
-                if not _exists_clique(red, rmask & red[u], ks):
-                    rmask |= bit
-                    u += 1
-                    break
-
-
-def _accept_row(red: list[int], v: int, rmask: int,
-                pending: list[tuple[int, int]]) -> Optional[list[tuple[int, int]]]:
-    """Symmetry-break the completed row v, whose red bits toward 0..v-1 are ``rmask``.
-
-    Returns None if swapping two labels makes the coloring lexicographically
-    smaller (columns 1..v in vertex order, rows ascending, blue < red), or else
-    the label swaps still tied, which the next rows must decide. ``red`` holds
-    rows 0..v-1, symmetric over those vertices; row v is not yet committed.
-    """
-    # A swap (i, j) tied before row v is decided by the new column alone, at
-    # rows i and j.
-    ties = []
-    for i, j in pending:
-        ci = rmask >> i & 1
-        cj = rmask >> j & 1
-        if ci == cj:
-            ties.append((i, j))
-        elif ci:
-            return None
-    # Under the swap (i v) only positions in rows or columns i and v move. The
-    # first in column-major order is the first x < v, x != i, where rows i and
-    # v differ (column i's rows x < i come first; at x > i, column x meets rows
-    # i and v; column v repeats the same comparisons). The image is smaller iff
-    # row i is red there.
-    low = (1 << v) - 1
-    for i in range(v):
-        diff = (red[i] ^ rmask) & low & ~(1 << i)
-        if not diff:
-            ties.append((i, v))
-        elif red[i] & diff & -diff:
-            return None
-    return ties
+        """Search from one vertex; True iff an (s, t)-graph on n vertices,
+        left in ``witness`` as its red rows, was found."""
+        masks = _ramsey_masks(self.s, self.t, self.counter)
+        self.witness = next(_canonical_descendants((0,), self.n, masks), None)
+        return self.witness is not None
 
 
 def _multipartite_witness(s: int, t: int) -> Graph:
@@ -431,8 +363,8 @@ def _verify_witness(red: Graph, s: int, t: int) -> None:
 
 
 def _search_size(s: int, t: int, n: int,
-                 counter: _Counter) -> tuple[Optional[list[int]], bool]:
-    """Decide whether a valid coloring of K_n exists, ticking ``counter`` per row step.
+                 counter: _Counter) -> tuple[Optional[tuple[int, ...]], bool]:
+    """Decide whether a valid coloring of K_n exists, ticking ``counter`` per search node.
 
     Returns (witness red rows or None, budget_exhausted)."""
     search = _ColoringSearch(s, t, n, counter)
@@ -446,16 +378,18 @@ def _search_size(s: int, t: int, n: int,
 def ramsey_exact_small(s: int, t: int, n_max: int = 64,
                        node_budget: Optional[int] = None,
                        workers: int = 1) -> RamseyResult:
-    """Compute R(s, t) exactly by backtracking search, or a certified interval.
+    """Compute R(s, t) exactly by orderly generation of (s, t)-graphs, or a
+    certified interval.
 
     Starting from the verified multipartite witness on (s-1)(t-1) vertices,
-    the search decides one size at a time whether a valid coloring exists.
-    The first size with none is the exact value. If the node budget runs out
-    or the size cap n_max is passed first, the result is the interval
-    certified so far (upper bound None). One budget counts the row-search
-    nodes of all sizes in search order, so ``nodes`` never exceeds it and
-    equal inputs give equal results on any machine. ``workers`` is validated
-    but has no effect: the search runs in the calling thread.
+    the search decides one size at a time whether an (s, t)-graph, that is a
+    valid coloring, exists. The first size with none is the exact value. If
+    the node budget runs out or the size cap n_max is passed first, the
+    result is the interval certified so far (upper bound None). One budget
+    counts the nodes of the mask searches of all sizes in search order, so
+    ``nodes`` never exceeds it and equal inputs give equal results on any
+    machine. ``workers`` is validated but has no effect: the search runs in
+    the calling thread.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -474,7 +408,7 @@ def ramsey_exact_small(s: int, t: int, n_max: int = 64,
             return RamseyResult(s, t, lower, None, counter.count, witness, budget_exhausted=True)
         if rows is None:
             return RamseyResult(s, t, lower, lower, counter.count, witness)
-        witness = Graph(lower, tuple(rows))
+        witness = Graph(lower, rows)
         _verify_witness(witness, s, t)
         lower += 1
     return RamseyResult(s, t, lower, None, counter.count, witness)

@@ -97,11 +97,24 @@ def test_is_canonical_agrees_with_brute_force():
     assert len(cases) == 1099 and sum(expected for _, expected in cases) == 52
     # Random labelled graphs are almost never canonical and their least
     # relabelings always are, so both answers are tested at n = 6, 7.
-    for n, count in ((6, 25), (7, 8)):
-        for seed in range(count):
-            adj = random_graph(n, 0.5, seed=seed).adj
-            is_least, least = _brute_canonical(adj)
-            cases += [(adj, is_least), (least, True)]
+    graphs = [random_graph(n, 0.5, seed=seed).adj
+              for n, count in ((6, 25), (7, 8)) for seed in range(count)]
+    # Graphs with twins, where the canonicity test skips tied vertices:
+    # isolated vertices added, or two vertices duplicated, the first copy
+    # joined to its original in every other graph.
+    graphs += [random_graph(n, 0.5, seed=seed).add_isolated(8 - n).adj
+               for n in (6, 7) for seed in range(3)]
+    for n, seed in ((5, 0), (5, 1), (6, 2), (6, 3)):
+        rows = list(random_graph(n, 0.5, seed=seed).adj)
+        for x in (0, n - 1):
+            rows = [row | 1 << len(rows) if row >> x & 1 else row for row in rows] + [rows[x]]
+        if seed % 2:
+            rows[0] |= 1 << n
+            rows[n] |= 1
+        graphs.append(tuple(rows))
+    for adj in graphs:
+        is_least, least = _brute_canonical(adj)
+        cases += [(adj, is_least), (least, True)]
     for adj, expected in cases:
         assert _is_canonical(adj) == expected, adj
 

@@ -2,18 +2,20 @@
 
 import itertools
 import json
-import random
 import re
 import sys
+import time
 
 import pytest
 
+from chiomega.extremal import _canonical_descendants, canonical_graphs
 from chiomega.graphs import Graph, complete_graph, from_graph6, paley_graph, to_graph6
-from chiomega.invariants import clique_number
+from chiomega.invariants import _Counter, clique_number, independence_number
 from chiomega.ramsey import (
     BoundsTable,
     RamseyBoundRecord,
-    _accept_row,
+    _ramsey_masks,
+    _search_size,
     erdos_szekeres_bound,
     load_bounds_table,
     lower_bound_from_graph,
@@ -176,17 +178,21 @@ def test_lower_bound_from_paley_17():
 
 
 # Search nodes spent by ramsey_exact_small(2, t), t = 2..6.
-_R2T_NODES = {2: 2, 3: 5, 4: 9, 5: 14, 6: 20}
+_R2T_NODES = {2: 1, 3: 4, 4: 8, 5: 13, 6: 19}
 
 
 def test_ramsey_r2t_is_t():
-    for t in range(2, 11):
+    # The (2, t)-graphs are the empty graphs, whose vertices are all twins:
+    # the canonicity test must not try their (t-1)! labellings.
+    start = time.monotonic()
+    for t in range(2, 13):
         result = ramsey_exact_small(2, t)
         assert result.exact and result.value == t
         # The witness on t-1 vertices: red empty, blue complete.
         assert result.witness_red.num_edges() == 0
         if t in _R2T_NODES:
             assert result.nodes == _R2T_NODES[t], t
+    assert time.monotonic() - start < 1.0
 
 
 def test_ramsey_validation():
@@ -203,9 +209,7 @@ def test_ramsey_validation():
 def test_ramsey_33_with_verified_witness():
     result = ramsey_exact_small(3, 3)
     assert result.exact and result.value == 6
-    # Fixing the first edge blue (the color swap is a symmetry when s == t)
-    # is part of this count: without it the search takes 104 nodes.
-    assert result.nodes == 97
+    assert result.nodes == 101
     red = result.witness_red
     blue = result.witness_blue
     assert red.n == 5
@@ -264,7 +268,8 @@ def test_ramsey_33_against_brute_force():
 _R35_BUDGETED = [
     (50, 9, 50, "G?~vf_"),
     (5000, 12, 5000, "J?CaCFCyF_?"),
-    (200000, 13, 200000, "K?CaJAHceg\\?"),
+    (20000, 13, 20000, "K?CaJAHceg\\?"),
+    (100000, 14, 100000, "L?CaJPoakiUOr?"),
 ]
 
 
@@ -293,8 +298,8 @@ def test_ramsey_budget_returns_certified_interval():
 # budget covers all sizes in search order, so lower steps up exactly when the
 # budget reaches the node that completes the next witness.
 _RAMSEY_STEPS = {
-    4: ((93, 8), (260, 9)),
-    5: ((266, 10), (755, 11), (1484, 12)),
+    4: ((85, 8), (219, 9)),
+    5: ((229, 10), (601, 11), (1104, 12)),
 }
 
 
@@ -310,81 +315,94 @@ def test_ramsey_budget_is_spent_in_search_order():
         for budget, lower in steps:
             assert ramsey_exact_small(3, t, node_budget=budget - 1).lower == lower - 1
             assert ramsey_exact_small(3, t, node_budget=budget).lower == lower
-    # R(3,4) = 9 is certified by 4551 nodes in all, and not by one fewer.
-    full = ramsey_exact_small(3, 4, node_budget=4551)
-    assert full.exact and full.nodes == 4551 and not full.budget_exhausted
-    short = ramsey_exact_small(3, 4, node_budget=4550)
-    assert (short.upper, short.nodes, short.budget_exhausted) == (None, 4550, True)
+    # R(3,4) = 9 is certified by 1605 nodes in all, and not by one fewer.
+    full = ramsey_exact_small(3, 4, node_budget=1605)
+    assert full.exact and full.nodes == 1605 and not full.budget_exhausted
+    short = ramsey_exact_small(3, 4, node_budget=1604)
+    assert (short.upper, short.nodes, short.budget_exhausted) == (None, 1604, True)
     with pytest.raises(ValueError):
         ramsey_exact_small(3, 4, node_budget=-1)
 
 
+# (3, t)-graphs on n vertices up to isomorphism, n = 1, 2, ..., counted by
+# the generator; they agree with Radziszowski & Kreher, "On R(3,k) Ramsey
+# graphs" (1988).
+_R3T_CLASS_COUNTS = {
+    4: [1, 2, 3, 6, 9, 15, 9, 3],
+    5: [1, 2, 3, 7, 13, 32, 71, 179, 290, 313, 105, 12, 1],
+}
+
+
+def _class_counts(s: int, t: int) -> list[int]:
+    """Classes of (s, t)-graphs per order, generated level by level until none is left."""
+    masks = _ramsey_masks(s, t, _Counter())
+    counts, level = [], [(0,)]
+    while level:
+        counts.append(len(level))
+        level = [child for adj in level
+                 for child in _canonical_descendants(adj, len(adj) + 1, masks)]
+    return counts
+
+
+def test_ramsey_masks_generate_the_st_graphs():
+    for t, counts in _R3T_CLASS_COUNTS.items():
+        assert _class_counts(3, t) == counts, t
+    # The pruned generator yields exactly the (s, t)-graphs among all graphs,
+    # with the same labellings in the same order.
+    for s, t in ((3, 5), (4, 4)):
+        for n in range(1, 8):
+            masks = _ramsey_masks(s, t, _Counter())
+            got = [Graph(n, adj) for adj in _canonical_descendants((0,), n, masks)]
+            want = [g for g in canonical_graphs(n)
+                    if clique_number(g).value < s and independence_number(g).value < t]
+            assert got == want, (s, t, n)
+
+
+# _search_size(3, t, n) witnesses, the first (3, t)-graph on n vertices
+# that the generator reaches. They are the labellings that the row search it
+# replaced found.
+_R3T_WITNESSES = {
+    4: ["D@O", "E@Q?", "F@QM?", "G@QMf?"],
+    5: ["H?CaCF?", "I?CaCFCw?", "J?CaCFCyF_?", "K?CaJAHceg\\?", "L?CaJPoakiUOr?"],
+}
+
+
+def test_search_size_witnesses():
+    for t, pins in _R3T_WITNESSES.items():
+        for pin in pins:
+            n = from_graph6(pin).n
+            rows, over = _search_size(3, t, n, _Counter())
+            assert not over and to_graph6(Graph(n, rows)) == pin, (t, n)
+
+
 def test_ramsey_35_from_scratch():
     result = ramsey_exact_small(3, 5)
-    assert (result.lower, result.upper, result.nodes) == (14, 14, 5175076)
+    assert (result.lower, result.upper, result.nodes) == (14, 14, 155612)
     assert to_graph6(result.witness_red) == "L?CaJPoakiUOr?"
 
 
 def test_row_search_does_not_recurse_per_bit():
     # A search that recursed per bit would need a frame for each of the 36
-    # edges of K_9, the size R(3,4) exhausts; the recursive search this loop
-    # replaced needed between 60 and 80.
+    # edges of K_9, the size R(3,4) exhausts. Orderly generation nests one
+    # generator per vertex and the canonicity test one call per position;
+    # under pytest on CPython 3.11 that takes 26 frames.
     depth = 0
     frame = sys._getframe()
     while frame is not None:
         depth += 1
         frame = frame.f_back
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + 20)
+    sys.setrecursionlimit(depth + 28)
     try:
         result = ramsey_exact_small(3, 4)
+        # One parent's masks come from a loop too: 40 bit decisions on the
+        # empty (2, 64)-graph on 40 vertices, which has only the empty mask.
+        counter = _Counter()
+        masks = list(_ramsey_masks(2, 64, counter)((0,) * 40))
     finally:
         sys.setrecursionlimit(limit)
-    assert (result.value, result.nodes) == (9, 4551)
-
-
-def _swap_order(red: list[int], last: int, i: int, j: int) -> int:
-    """Compare a coloring with its image under swapping labels i and j, over
-    columns 1..last in vertex order, rows ascending, blue < red: -1 if the
-    image is smaller, 0 on a tie, 1 if it is larger."""
-    label = list(range(len(red)))
-    label[i], label[j] = j, i
-    for w in range(1, last + 1):
-        for x in range(w):
-            a = red[x] >> w & 1
-            b = red[label[x]] >> label[w] & 1
-            if a != b:
-                return -1 if b < a else 1
-    return 0
-
-
-def test_accept_row_matches_full_lexicographic_swap_order():
-    # Random symmetric colorings of K_{v+1} that survived rows 0..v-1: every
-    # swap of two earlier labels compares >= 0 over columns 1..v-1, and the
-    # tied ones are pending. Row v is rejected iff some swap, old or new,
-    # makes the image smaller over columns 1..v; otherwise the ties remain.
-    rng = random.Random(11)
-    outcomes = {True: 0, False: 0}
-    for _ in range(20000):
-        v = rng.randrange(1, 8)
-        red = [0] * (v + 1)
-        for x, w in itertools.combinations(range(v + 1), 2):
-            if rng.random() < 0.5:
-                red[x] |= 1 << w
-                red[w] |= 1 << x
-        earlier = list(itertools.combinations(range(v), 2))
-        if any(_swap_order(red, v - 1, i, j) < 0 for i, j in earlier):
-            continue
-        pending = [(i, j) for i, j in earlier if _swap_order(red, v - 1, i, j) == 0]
-        rows = [r & ((1 << v) - 1) for r in red[:v]]
-        got = _accept_row(rows, v, red[v], list(pending))
-        pairs = pending + [(i, v) for i in range(v)]
-        if any(_swap_order(red, v, i, j) < 0 for i, j in pairs):
-            assert got is None, (v, red)
-        else:
-            assert got == [(i, j) for i, j in pairs if _swap_order(red, v, i, j) == 0], (v, red)
-        outcomes[got is None] += 1
-    assert min(outcomes.values()) > 500, outcomes
+    assert (result.value, result.nodes) == (9, 1605)
+    assert (masks, counter.count) == ([0], 41)
 
 
 def test_ramsey_size_cap_returns_interval():
