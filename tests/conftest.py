@@ -80,6 +80,36 @@ def brute_chi(g: Graph) -> int:
     raise AssertionError("unreachable")
 
 
+def subset_dp_chi(g: Graph) -> int:
+    """Fewest independent sets covering all vertices, by dynamic programming
+    over vertex subsets (no search; 3^n steps, so n <= ~13).
+
+    chi(S) = 1 + min chi(S minus I) over the independent sets I of S that
+    hold the lowest vertex of S: that vertex's color class is one of them.
+    """
+    n = g.n
+    independent = [True] * (1 << n)
+    for s in range(1, 1 << n):
+        low = (s & -s).bit_length() - 1
+        rest = s & (s - 1)
+        independent[s] = independent[rest] and not any(
+            g.has_edge(low, u) for u in range(n) if rest >> u & 1)
+    chi = [0] * (1 << n)
+    for s in range(1, 1 << n):
+        low = s & -s
+        rest = s ^ low
+        best = n
+        sub = rest
+        while True:
+            if independent[sub | low]:
+                best = min(best, chi[rest ^ sub] + 1)
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+        chi[s] = best
+    return chi[-1]
+
+
 def petersen_graph() -> Graph:
     outer = [(i, (i + 1) % 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]

@@ -1,11 +1,14 @@
 """Exact invariants against naive oracles, plus the greedy-coloring guarantee."""
 
+import gc
 import itertools
 import random
 
 import pytest
 
-from chiomega.graphs import complete_graph, cycle_graph, empty_graph, random_graph
+from chiomega.extremal import _CHI_BUDGET, max_ratio_exact
+from chiomega.graphs import (complete_graph, cycle_graph, empty_graph, mycielski, paley_graph,
+                             random_graph)
 from chiomega.invariants import (
     BudgetExceeded,
     ColoringCertificate,
@@ -17,7 +20,8 @@ from chiomega.invariants import (
     independence_number,
     is_proper_coloring,
 )
-from conftest import brute_alpha, brute_chi, brute_first_max_clique, brute_omega, named_graphs
+from conftest import (brute_alpha, brute_chi, brute_first_max_clique, brute_omega, named_graphs,
+                      subset_dp_chi)
 
 
 def test_clique_number_against_brute_force():
@@ -87,6 +91,85 @@ def test_chromatic_number_against_brute_force():
         assert result.witness.num_colors == result.value
 
 
+def _mycielski_k2(level):
+    g = complete_graph(2)
+    for _ in range(level):
+        g = mycielski(g)
+    return g
+
+
+def _assert_certified(g, chi, result):
+    assert result.exact
+    assert result.value == chi
+    assert is_proper_coloring(g, result.witness)
+    assert result.witness.num_colors == chi
+
+
+def test_chromatic_number_against_subset_dp():
+    # On 8..11 vertices the branch and bound really searches (random graphs
+    # on fewer vertices mostly close at the greedy bound); isolated padding
+    # keeps chi but weakens the ceil(n / alpha) bound, so the search runs longer.
+    graphs = [random_graph(n, p, seed=700 + 10 * n + k)
+              for n in range(8, 12) for k, p in enumerate((0.2, 0.35, 0.5, 0.65, 0.8))]
+    graphs.append(_mycielski_k2(2))  # Grötzsch, chi 4
+    for g in graphs:
+        chi = subset_dp_chi(g)
+        for pad in range(4):
+            padded = g.add_isolated(pad)
+            _assert_certified(padded, chi, chromatic_number(padded))
+
+
+def test_padded_paley_certifies_under_the_search_budget():
+    # Isolated padding leaves chi alone but lowers ceil(n / alpha) towards
+    # omega; the search budget of f search must still close these.
+    paley13 = paley_graph(13)
+    chi13 = subset_dp_chi(paley13)
+    assert chi13 == 5
+    for n in (24, 32, 48):
+        padded = paley13.add_isolated(n - 13)
+        _assert_certified(padded, chi13, chromatic_number(padded, node_budget=_CHI_BUDGET))
+    # Unpadded, the bound ceil(41 / alpha) = 9 stops the search at its first 9-coloring.
+    chi41 = chromatic_number(paley_graph(41))
+    assert chi41.exact and chi41.value == 9
+    padded = paley_graph(41).add_isolated(7)
+    _assert_certified(padded, 9, chromatic_number(padded, node_budget=_CHI_BUDGET))
+
+
+@pytest.mark.parametrize("g, chi, nodes", [
+    (paley_graph(17).add_isolated(7), 6, 209),
+    (_mycielski_k2(3).add_isolated(1), 5, 894),
+    (paley_graph(29).add_isolated(3), 8, 33_898),
+])
+def test_chromatic_budget_ladder(g, chi, nodes):
+    # ``nodes`` is the size of the fixed DSATUR search tree: exactness holds
+    # from that budget on and never below it, with the same value throughout;
+    # below it the value found so far can only fall as the budget grows.
+    values = []
+    for budget in (0, 1, nodes // 2, nodes - 1, nodes, nodes + 1, 2 * nodes, None):
+        result = chromatic_number(g, node_budget=budget)
+        assert result.exact == (budget is None or budget >= nodes), budget
+        assert is_proper_coloring(g, result.witness)
+        assert result.witness.num_colors == result.value >= chi
+        if result.exact:
+            assert result.value == chi
+        values.append(result.value)
+    assert values == sorted(values, reverse=True)
+
+
+def test_solvers_leave_no_cyclic_garbage():
+    # The recursive searches are closures that refer to themselves; each
+    # solver breaks that cycle on return, so nothing waits for the collector.
+    gc.collect()
+    gc.disable()
+    try:
+        max_ratio_exact(6)
+        for level in range(1, 4):
+            chromatic_number(_mycielski_k2(level))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def _members(mask):
     return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
@@ -120,15 +203,18 @@ def test_named_graph_invariants():
 
 
 def test_mycielski_raises_chi_but_not_omega():
+    # Mycielski's theorem gives chi 4 and 5 here (Mycielski^2(K2) and
+    # Mycielski^3(K2), the latter past the subset DP); isolated padding
+    # changes neither chi nor omega, and each padding certifies.
     g = cycle_graph(5)
     chi = 3
-    from chiomega.graphs import mycielski
-
     for _ in range(2):
         g = mycielski(g)
         chi += 1
         assert clique_number(g).value == 2
-        assert chromatic_number(g).value == chi
+        for pad in range(4):
+            padded = g.add_isolated(pad)
+            _assert_certified(padded, chi, chromatic_number(padded))
 
 
 def test_chi_at_least_omega_everywhere():
