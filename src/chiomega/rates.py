@@ -112,10 +112,10 @@ def maximize_rate(params: RateParams = RateParams()) -> ConstantsReport:
     sign change residual(a) > 0 >= residual(b), bisected until no double lies
     strictly between a and b. The sign change is certified only up to the
     rounding of the residual, which is not monotone in floats near the root
-    (ROADMAP item 1 plans a decimal enclosure). ``x_star`` is the rounded
-    midpoint of a and b, so one of the two ends. When the residual at 1/2 is
-    >= 0 (delta = 0) phi rises all the way: the maximizer and both bracket
-    ends are 1/2 itself.
+    (ROADMAP's "Certify the paper's headline inequality c < 3.72 exactly"
+    plans a decimal enclosure). ``x_star`` is the rounded midpoint of a and
+    b, so one of the two ends. When the residual at 1/2 is >= 0 (delta = 0)
+    phi rises all the way: the maximizer and both bracket ends are 1/2.
     """
     res = lambda x: stationarity_residual(x, params)
     if res(0.5) >= 0.0:

@@ -173,6 +173,7 @@ def test_input_errors_exit_one(tmp_path, capsys):
         ["constants", "--nope"],
         ["graph", "stats", "--graph6", "!!"],
         ["f", "exact", "--n", "25"],
+        ["f", "exact", "--n", "10"],
         ["ramsey", "small", "--s", "4", "--t", "3"],
         ["minprod", "--n", "0"],
         ["ramsey", "bound", "--s", "3", "--t", "3", "--table", "/does/not/exist"],
@@ -261,13 +262,15 @@ def test_every_subcommand_is_byte_deterministic():
 
 
 def test_removed_flags_exit_one(capsys):
-    # --threads had no effect, and the bisection now picks its own precision
-    # in place of --tol; both are gone, so either is a bad flag: exit 1.
+    # --threads had no effect, the bisection now picks its own precision in
+    # place of --tol, and n = 9 is exhaustive without an opt-in flag; all
+    # three are gone, so each is a bad flag: exit 1.
     for argv, flag in (
         (["ramsey", "small", "--s", "3", "--t", "3"], ["--threads", "2"]),
         (["f", "exact", "--n", "6"], ["--threads", "2"]),
         (["f", "search", "--n", "12"], ["--threads", "2"]),
         (["constants"], ["--tol", "1e-10"]),
+        (["f", "exact", "--n", "9"], ["--allow-nine"]),
     ):
         code, out = run_cli(argv + flag)
         err = capsys.readouterr().err

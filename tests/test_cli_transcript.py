@@ -1,11 +1,12 @@
 """Golden CLI transcript: stdout and exit code of fixed commands, byte for byte.
 
 The pinned outputs in ``cli_transcript.json`` cover the exhaustive f(n) and
-Ramsey searches (with and without budgets), the seeded f search, the bounds
-table and its closure, table verification, the single-graph commands, the
-conjecture checks and reports, the rate constants (default, as text, and at
-delta 0 and 20), the f curve and the ratio envelope. A change that alters any
-of them must be deliberate: regenerate the file with
+Ramsey searches (with and without budgets; f(9) only under one), the seeded f
+search, the bounds table and its closure, table verification, the
+single-graph commands, the conjecture checks and reports, the rate constants
+(default, as text, and at delta 0 and 20), the f curve and the ratio
+envelope. A change that alters any of them must be deliberate: regenerate the
+file with
 
     PYTHONPATH=src python tests/test_cli_transcript.py
 
@@ -24,6 +25,7 @@ TRANSCRIPT = Path(__file__).with_name("cli_transcript.json")
 def transcript_commands() -> list[list[str]]:
     cmds = [["f", "exact", "--n", str(n)] for n in range(1, 8)]
     cmds += [["f", "exact", "--n", "7", "--budget", str(b)] for b in (50, 1000, 11290)]
+    cmds += [["f", "exact", "--n", "9", "--budget", "1000"]]
     cmds += [["ramsey", "small", "--s", "2", "--t", str(t)] for t in range(2, 6)]
     cmds += [["ramsey", "small", "--s", "3", "--t", str(t)] for t in (3, 4)]
     cmds += [["ramsey", "small", "--s", "3", "--t", "4", "--budget", "4551"]]

@@ -142,12 +142,15 @@ def test_max_ratio_exact_small_values():
 
 
 def test_max_ratio_exact_rejects_big_n():
-    with pytest.raises(ValueError):
-        max_ratio_exact(9)  # needs allow_nine
-    with pytest.raises(ValueError):
-        max_ratio_exact(10, allow_nine=True)
-    with pytest.raises(ValueError):
-        max_ratio_exact(0)
+    # The exhaustive range is 1 <= n <= 9, and n = 9 needs no opt-in: a
+    # budget cuts it short into a non-exhaustive record.
+    rec = max_ratio_exact(9, node_budget=1000)
+    assert rec.n == 9 and not rec.exhaustive and rec.meta.nodes == 1000
+    for n in (0, 10):
+        with pytest.raises(ValueError):
+            max_ratio_exact(n)
+    with pytest.raises(TypeError):
+        max_ratio_exact(9, allow_nine=True)
     with pytest.raises(ValueError):
         max_ratio_exact(5, workers=0)
 
@@ -295,12 +298,12 @@ def test_ratio_table_roundtrip_and_csv(tmp_path):
     lines = csv.strip().split("\n")
     assert lines[0] == "n,f,exhaustive"
     assert lines[5] == "5,3/2,true"
-    assert len(lines) == 9
+    assert len(lines) == 10
 
 
 def test_packaged_ratio_table_values():
     records = packaged_ratio_table()
-    assert [r.n for r in records] == list(range(1, 9))
+    assert [r.n for r in records] == list(range(1, 10))
     assert all(r.exhaustive for r in records)
     values = [(r.value.num, r.value.den) for r in records]
     assert values[:4] == [(1, 1)] * 4
