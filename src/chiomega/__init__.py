@@ -5,8 +5,9 @@ numbers) on bitset graphs up to 64 vertices, determines small Ramsey numbers
 by exhaustive symmetric search, maintains a bounds table closed under the
 additive recurrence, reproduces the numeric rate constants bounding
 f(n)/(n/(log2 n)^2), finds f(n) exactly by isomorph-free enumeration for
-small n and by certified search beyond, and checks finite consistency of the
-diagonal-dominance conjectures for Ramsey numbers against the table.
+small n and bounds it below by certified explicit constructions beyond, and
+checks finite consistency of the diagonal-dominance conjectures for Ramsey
+numbers against the table.
 """
 
 from .graphs import (

@@ -3,8 +3,8 @@
 Exit codes separate kinds of outcome: 0 success, 1 input error, 2 internal
 verification failure (a witness or table fails re-verification), 3 a checked
 conjecture is contradicted by the data — a finding, not a bug, so it gets a
-distinct code. All output is deterministic given the flags, and seeds default
-to fixed values.
+distinct code. All output is deterministic given the flags; no command draws
+random numbers.
 """
 
 from __future__ import annotations
@@ -247,9 +247,7 @@ def _cmd_f_exact(args) -> int:
 
 
 def _cmd_f_search(args) -> int:
-    rec = extremal.max_ratio_search(
-        args.n, strategy=args.strategy, seed=args.seed, node_budget=args.budget,
-    )
+    rec = extremal.max_ratio_search(args.n)
     _emit(_ratio_obj(rec))
     return EXIT_OK
 
@@ -420,12 +418,8 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--budget", type=int, default=None, help="enumeration node budget")
     p.set_defaults(func=_cmd_f_exact)
-    p = f_sub.add_parser("search", help="certified f(n) lower bound by search")
+    p = f_sub.add_parser("search", help="certified f(n) lower bound from explicit constructions")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--strategy", choices=("constructions", "anneal", "hybrid"),
-                   default="hybrid")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=None, help="candidate evaluation budget")
     p.set_defaults(func=_cmd_f_search)
     p = f_sub.add_parser("verify", help="re-verify a ratio table's witnesses")
     _add_table(p, "ratio")

@@ -124,7 +124,7 @@ def test_f_verify_fails_on_tampered_table(tmp_path, monkeypatch):
 
 
 def test_f_search_command():
-    code, out = run_cli(["f", "search", "--n", "11", "--strategy", "constructions"])
+    code, out = run_cli(["f", "search", "--n", "11"])
     assert code == 0
     assert json.loads(out)["f"] == "4/2"
 
@@ -180,7 +180,6 @@ def test_input_errors_exit_one(tmp_path, capsys):
         [],
         # A negative budget is refused by every command that takes one.
         ["f", "exact", "--n", "5", "--budget", "-1"],
-        ["f", "search", "--n", "5", "--budget", "-1"],
         ["ramsey", "small", "--s", "3", "--t", "3", "--budget", "-5"],
         ["graph", "stats", "--graph6", "Dhc", "--budget", "-1"],
         ["graph", "color", "--graph6", "Dhc", "--budget", "-1"],
@@ -263,14 +262,18 @@ def test_every_subcommand_is_byte_deterministic():
 
 def test_removed_flags_exit_one(capsys):
     # --threads had no effect, the bisection now picks its own precision in
-    # place of --tol, and n = 9 is exhaustive without an opt-in flag; all
-    # three are gone, so each is a bad flag: exit 1.
+    # place of --tol, n = 9 is exhaustive without an opt-in flag, and f search
+    # scores its construction portfolio with no strategy, seed or budget to
+    # choose; all of these are gone, so each is a bad flag: exit 1.
     for argv, flag in (
         (["ramsey", "small", "--s", "3", "--t", "3"], ["--threads", "2"]),
         (["f", "exact", "--n", "6"], ["--threads", "2"]),
         (["f", "search", "--n", "12"], ["--threads", "2"]),
         (["constants"], ["--tol", "1e-10"]),
         (["f", "exact", "--n", "9"], ["--allow-nine"]),
+        (["f", "search", "--n", "12"], ["--strategy", "constructions"]),
+        (["f", "search", "--n", "12"], ["--seed", "1"]),
+        (["f", "search", "--n", "12"], ["--budget", "10"]),
     ):
         code, out = run_cli(argv + flag)
         err = capsys.readouterr().err

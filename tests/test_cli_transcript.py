@@ -1,8 +1,8 @@
 """Golden CLI transcript: stdout and exit code of fixed commands, byte for byte.
 
 The pinned outputs in ``cli_transcript.json`` cover the exhaustive f(n) and
-Ramsey searches (with and without budgets; f(9) only under one), the seeded f
-search, the bounds table and its closure, table verification, the
+Ramsey searches (with and without budgets; f(9) only under one), the f
+construction search, the bounds table and its closure, table verification, the
 single-graph commands, the conjecture checks and reports, the rate constants
 (default, as text, and at delta 0 and 20), the f curve and the ratio
 envelope. A change that alters any of them must be deliberate: regenerate the
@@ -30,7 +30,7 @@ def transcript_commands() -> list[list[str]]:
     cmds += [["ramsey", "small", "--s", "3", "--t", str(t)] for t in (3, 4)]
     cmds += [["ramsey", "small", "--s", "3", "--t", "4", "--budget", "4551"]]
     cmds += [["ramsey", "small", "--s", "3", "--t", "5", "--budget", str(b)] for b in (50, 5000)]
-    cmds += [["f", "search", "--n", "13", "--seed", str(s)] for s in (0, 1)]
+    cmds += [["f", "search", "--n", str(n)] for n in (13, 32)]
     cmds += [["ramsey", "table", "--closure"], ["f", "verify"]]
     for g6 in ("Dhc", to_graph6(petersen_graph())):
         cmds += [["graph", sub, "--graph6", g6] for sub in ("stats", "color", "greedy")]

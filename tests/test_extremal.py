@@ -1,4 +1,4 @@
-"""Exact f(n) enumeration, ratio arithmetic, search heuristics, and the table."""
+"""Exact f(n) enumeration, ratio arithmetic, the construction search, and the table."""
 
 import hashlib
 import itertools
@@ -230,19 +230,27 @@ def test_ratio_record_json_roundtrip():
 
 
 def test_max_ratio_search_strategies():
-    for strategy in ("constructions", "anneal", "hybrid"):
-        rec = max_ratio_search(12, strategy=strategy, seed=1)
-        assert not rec.exhaustive
-        assert rec.witness.n == 12
-        # The reported value is certified: recomputing reproduces it.
-        assert chromatic_number(rec.witness).value == rec.value.num
-        assert clique_number(rec.witness).value == rec.value.den
-    with pytest.raises(ValueError):
-        max_ratio_search(12, strategy="quantum")
+    # The search scores the construction portfolio only: both accepted
+    # strategy names, any seed and any worker count give the same record.
+    base = max_ratio_search(12, strategy="constructions")
+    assert not base.exhaustive
+    assert base.witness.n == 12
+    # The reported value is certified: recomputing reproduces it.
+    assert chromatic_number(base.witness).value == base.value.num
+    assert clique_number(base.witness).value == base.value.den
+    for strategy in ("constructions", "hybrid"):
+        for seed in (0, 1, 7):
+            rec = max_ratio_search(12, strategy=strategy, seed=seed, workers=3)
+            assert rec.value == base.value
+            assert to_graph6(rec.witness) == to_graph6(base.witness)
+            assert rec.meta == base.meta
+    for strategy in ("anneal", "quantum"):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            max_ratio_search(12, strategy=strategy)
     with pytest.raises(ValueError):
         max_ratio_search(12, workers=0)
-    with pytest.raises(ValueError):
-        max_ratio_search(12, node_budget=-1)
+    with pytest.raises(TypeError):
+        max_ratio_search(12, node_budget=5)
 
 
 def test_max_ratio_search_finds_mycielski_level():
@@ -253,10 +261,31 @@ def test_max_ratio_search_finds_mycielski_level():
 
 def test_max_ratio_search_determinism():
     a = max_ratio_search(13, strategy="hybrid", seed=5)
-    b = max_ratio_search(13, strategy="hybrid", seed=5)
+    b = max_ratio_search(13, strategy="constructions", seed=0)
     assert a.value == b.value and to_graph6(a.witness) == to_graph6(b.witness)
+    assert a.meta.nodes == b.meta.nodes == 7  # portfolio graphs scored at n = 13
     c = max_ratio_search(13, strategy="hybrid", seed=5, workers=3)
     assert c.value == a.value and to_graph6(c.witness) == to_graph6(a.witness)
+    assert c.meta.nodes == a.meta.nodes
+
+
+def test_max_ratio_search_agrees_with_exhaustion_and_is_monotone():
+    # Up to n = 9 the portfolio reaches the exhaustive maximum that the
+    # package ships; beyond it, padding with an isolated vertex keeps every
+    # witness, so the bound never decreases. Every witness is re-verified
+    # with the unbudgeted solvers.
+    exact = {r.n: r.value for r in packaged_ratio_table()}
+    prev = None
+    for n in range(1, 33):
+        rec = max_ratio_search(n)
+        assert rec.witness.n == n
+        assert chromatic_number(rec.witness).value == rec.value.num, n
+        assert clique_number(rec.witness).value == rec.value.den, n
+        if n <= 9:
+            assert rec.value == exact[n] == (Ratio(1, 1) if n <= 4 else Ratio(3, 2)), n
+        else:
+            assert rec.value >= prev, n
+        prev = rec.value
 
 
 def test_normalized_ratio_lower():
@@ -313,3 +342,4 @@ def test_packaged_ratio_table_values():
 def test_search_meta_defaults():
     meta = SearchMeta()
     assert meta.nodes == 0 and meta.seed == 0
+    assert not hasattr(meta, "strategy")
