@@ -70,7 +70,6 @@ from .extremal import (
     SearchMeta,
     TableVerdict,
     canonical_graphs,
-    export_ratio_csv,
     load_ratio_table,
     max_ratio_exact,
     max_ratio_search,

@@ -150,9 +150,7 @@ def _cmd_graph_greedy(args) -> int:
 
 
 def _cmd_ramsey_small(args) -> int:
-    result = ramsey.ramsey_exact_small(
-        args.s, args.t, n_max=args.n_max, node_budget=args.budget,
-    )
+    result = ramsey.ramsey_exact_small(args.s, args.t, node_budget=args.budget)
     witness = result.witness_graph6()
     _emit({
         "s": result.s,
@@ -383,7 +381,6 @@ def build_parser() -> _Parser:
     p = rams_sub.add_parser("small", help="compute R(s,t) by exhaustive search")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--n-max", type=int, default=64, help="size cap (default 64)")
     p.add_argument("--budget", type=int, default=None, help="search node budget")
     p.set_defaults(func=_cmd_ramsey_small)
     p = rams_sub.add_parser("bound", help="look up R(s,t) bounds in a table")

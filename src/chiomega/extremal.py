@@ -44,7 +44,6 @@ __all__ = [
     "save_ratio_table",
     "load_ratio_table",
     "ratio_csv",
-    "export_ratio_csv",
     "packaged_ratio_table",
 ]
 
@@ -82,9 +81,6 @@ class Ratio:
     def __hash__(self) -> int:
         return hash(Fraction(self.num, self.den))
 
-    def __float__(self) -> float:
-        return self.num / self.den
-
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, self.den)
 
@@ -94,12 +90,10 @@ class SearchMeta:
     """How a record was produced.
 
     ``nodes`` counts extension tests for an exhaustive record and portfolio
-    graphs scored for a search record; ``seed`` is kept for the table format
-    and is always 0.
+    graphs scored for a search record.
     """
 
     nodes: int = 0
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -123,17 +117,15 @@ class RatioRecord:
             "omega": self.value.den,
             "witness_graph6": to_graph6(self.witness),
             "exhaustive": self.exhaustive,
-            "seed": self.meta.seed,
         }
 
     @classmethod
     def from_json_obj(cls, obj: dict, where: str = "record") -> "RatioRecord":
-        n, chi, omega, witness, exhaustive, seed = read_fields(
+        n, chi, omega, witness, exhaustive = read_fields(
             obj, where, ("n", int), ("chi", int), ("omega", int), ("witness_graph6", str),
-            ("exhaustive", bool), ("seed", int, 0))
+            ("exhaustive", bool))
         try:
-            return cls(n, Ratio(chi, omega), from_graph6(witness), exhaustive,
-                       SearchMeta(seed=seed))
+            return cls(n, Ratio(chi, omega), from_graph6(witness), exhaustive)
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
 
@@ -473,12 +465,6 @@ def ratio_csv(records: list[RatioRecord]) -> str:
     for rec in records:
         lines.append(f"{rec.n},{rec.value.num}/{rec.value.den},{str(rec.exhaustive).lower()}")
     return "\n".join(lines) + "\n"
-
-
-def export_ratio_csv(records: list[RatioRecord], path) -> None:
-    """Write ratio_csv output to a file."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(ratio_csv(records))
 
 
 def packaged_ratio_table() -> list[RatioRecord]:

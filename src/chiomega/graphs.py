@@ -9,8 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from ._records import read_fields
-
 MAX_VERTICES = 64
 
 
@@ -72,14 +70,6 @@ class Graph:
     def complement(self) -> Graph:
         full = self.full_mask()
         return Graph(self.n, tuple((full ^ row) & ~(1 << i) for i, row in enumerate(self.adj)))
-
-    def with_edge_toggled(self, i: int, j: int) -> Graph:
-        if i == j:
-            raise ValueError("cannot toggle a self-loop")
-        rows = list(self.adj)
-        rows[i] ^= 1 << j
-        rows[j] ^= 1 << i
-        return Graph(self.n, tuple(rows))
 
     def induced(self, mask: int) -> Graph:
         """Induced subgraph on the vertices of ``mask``, relabeled in order."""
@@ -298,18 +288,3 @@ def from_graph6(text: str) -> Graph:
                 rows[j] |= 1 << i
             k += 1
     return Graph(n, tuple(rows))
-
-
-# -- JSON edge-list form ----------------------------------------------------
-
-
-def to_json_obj(g: Graph) -> dict:
-    return {"n": g.n, "edges": [[i, j] for i, j in g.edges()]}
-
-
-def from_json_obj(obj: dict) -> Graph:
-    n, edges = read_fields(obj, "graph", ("n", int), ("edges", list))
-    for edge in edges:
-        if type(edge) is not list or [type(v) for v in edge] != [int, int]:
-            raise ValueError(f"graph: field 'edges' must hold [int, int] pairs, got {edge!r}")
-    return from_edges(n, edges)

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Optional
 
 from ._records import load_packaged, read_fields, read_records, write_records
 from .extremal import MaskSource, _canonical_descendants
-from .graphs import Graph, from_edges, to_graph6
+from .graphs import MAX_VERTICES, Graph, from_edges, to_graph6
 from .invariants import (BudgetExceeded, _Counter, _exists_clique, clique_number,
                          independence_number)
 
@@ -113,10 +113,6 @@ class BoundsTable:
 
     def __len__(self) -> int:
         return len(self._by_pair)
-
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        s, t = pair
-        return (min(s, t), max(s, t)) in self._by_pair
 
     def add(self, rec: RamseyBoundRecord) -> None:
         key = (rec.s, rec.t)
@@ -245,7 +241,7 @@ class RamseyResult:
     ``lower`` is always certified by a verified witness coloring on lower - 1
     vertices (``witness_red``; the blue graph is its complement). ``upper`` is
     certified by exhausting all colorings on ``upper`` vertices, and is None
-    when the search stopped (budget or size cap) before any exhaustion.
+    when the search stopped (node budget or vertex cap) before any exhaustion.
     """
 
     s: int
@@ -375,8 +371,7 @@ def _search_size(s: int, t: int, n: int,
     return search.witness, False
 
 
-def ramsey_exact_small(s: int, t: int, n_max: int = 64,
-                       node_budget: Optional[int] = None,
+def ramsey_exact_small(s: int, t: int, node_budget: Optional[int] = None,
                        workers: int = 1) -> RamseyResult:
     """Compute R(s, t) exactly by orderly generation of (s, t)-graphs, or a
     certified interval.
@@ -384,7 +379,7 @@ def ramsey_exact_small(s: int, t: int, n_max: int = 64,
     Starting from the verified multipartite witness on (s-1)(t-1) vertices,
     the search decides one size at a time whether an (s, t)-graph, that is a
     valid coloring, exists. The first size with none is the exact value. If
-    the node budget runs out or the size cap n_max is passed first, the
+    the node budget runs out first, or the search passes MAX_VERTICES, the
     result is the interval certified so far (upper bound None). One budget
     counts the nodes of the mask searches of all sizes in search order, so
     ``nodes`` never exceeds it and equal inputs give equal results on any
@@ -395,14 +390,12 @@ def ramsey_exact_small(s: int, t: int, n_max: int = 64,
         raise ValueError("workers must be >= 1")
     if not 2 <= s <= t:
         raise ValueError(f"need 2 <= s <= t, got ({s}, {t})")
-    if n_max > 64:
-        raise ValueError(f"n_max must be <= 64, got {n_max}")
 
     counter = _Counter(node_budget)
     witness = _multipartite_witness(s, t)
     _verify_witness(witness, s, t)
     lower = witness.n + 1
-    while lower <= n_max:
+    while lower <= MAX_VERTICES:
         rows, over = _search_size(s, t, lower, counter)
         if over:
             return RamseyResult(s, t, lower, None, counter.count, witness, budget_exhausted=True)

@@ -181,7 +181,7 @@ def min_product_binomial(n: int) -> tuple[int, int]:
     s = 2
     while s * s <= best:
         # Minimal t >= s with C(s+t, s) >= n, by binary search (monotone in t).
-        lo, hi = s, max(s, 1)
+        lo = hi = s
         while math.comb(s + hi, s) < n:
             hi *= 2
         while lo < hi:

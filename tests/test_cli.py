@@ -5,10 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import chiomega
 from chiomega.extremal import RatioRecord, packaged_ratio_table, ratio_csv, save_ratio_table
-from chiomega.graphs import cycle_graph, from_graph6, to_graph6
-from chiomega.ramsey import BoundsTable, RamseyBoundRecord, save_bounds_table
+from chiomega.graphs import cycle_graph, from_edges, from_graph6, to_graph6
+from chiomega.ramsey import BoundsTable, RamseyBoundRecord, ramsey_exact_small, save_bounds_table
 from conftest import run_cli
 
 C5 = to_graph6(cycle_graph(5))
@@ -101,6 +103,13 @@ def test_f_commands(tmp_path):
     RatioRecord.from_json_obj(obj)
     code, out = run_cli(["f", "verify"])
     assert code == 0 and json.loads(out)["ok"]
+    # Tables written before the always-0 "seed" key was dropped still verify.
+    old = tmp_path / "old.json"
+    lines = [json.dumps(dict(r.to_json_obj(), seed=0), sort_keys=True)
+             for r in packaged_ratio_table()]
+    old.write_text("[\n  " + ",\n  ".join(lines) + "\n]\n", encoding="ascii")
+    code, out = run_cli(["f", "verify", "--table", str(old)])
+    assert code == 0 and json.loads(out) == {"ok": True, "problems": [], "records": 9}
     code, out = run_cli(["f", "curve"])
     assert code == 0 and out == ratio_csv(packaged_ratio_table())
     out_path = tmp_path / "curve.csv"
@@ -113,7 +122,9 @@ def test_f_verify_fails_on_tampered_table(tmp_path, monkeypatch):
     records = packaged_ratio_table()
     rec5 = next(r for r in records if r.n == 5)
     bad = [r if r.n != 5 else
-           RatioRecord(n=5, value=rec5.value, witness=cycle_graph(5).with_edge_toggled(0, 2),
+           # The 5-cycle with the chord 0-2 has a triangle: 3/3, not the recorded 3/2.
+           RatioRecord(n=5, value=rec5.value,
+                       witness=from_edges(5, cycle_graph(5).edges() + [(0, 2)]),
                        exhaustive=True, meta=rec5.meta)
            for r in records]
     path = tmp_path / "bad.json"
@@ -262,11 +273,13 @@ def test_every_subcommand_is_byte_deterministic():
 
 def test_removed_flags_exit_one(capsys):
     # --threads had no effect, the bisection now picks its own precision in
-    # place of --tol, n = 9 is exhaustive without an opt-in flag, and f search
+    # place of --tol, n = 9 is exhaustive without an opt-in flag, f search
     # scores its construction portfolio with no strategy, seed or budget to
-    # choose; all of these are gone, so each is a bad flag: exit 1.
+    # choose, and the node budget is the one stop rule of ramsey small; all of
+    # these are gone, so each is a bad flag: exit 1.
     for argv, flag in (
         (["ramsey", "small", "--s", "3", "--t", "3"], ["--threads", "2"]),
+        (["ramsey", "small", "--s", "3", "--t", "3"], ["--n-max", "10"]),
         (["f", "exact", "--n", "6"], ["--threads", "2"]),
         (["f", "search", "--n", "12"], ["--threads", "2"]),
         (["constants"], ["--tol", "1e-10"]),
@@ -280,6 +293,9 @@ def test_removed_flags_exit_one(capsys):
         assert code == 1 and out == "", argv
         assert err.endswith(f"chiomega: error: unrecognized arguments: {' '.join(flag)}\n"), err
         assert "Traceback" not in err
+    # The size cap is gone from the API as well.
+    with pytest.raises(TypeError):
+        ramsey_exact_small(3, 3, n_max=4)
 
 
 def test_import_loads_no_thread_pool():

@@ -208,16 +208,18 @@ def test_ratio_record_validates_vertex_count():
 def test_ratio_record_json_roundtrip():
     rec = max_ratio_exact(5)
     obj = rec.to_json_obj()
+    assert set(obj) == {"n", "chi", "omega", "witness_graph6", "exhaustive"}
     again = RatioRecord.from_json_obj(obj)
     assert again.n == rec.n and again.value == rec.value
     assert to_graph6(again.witness) == obj["witness_graph6"]
+    # Tables written before the always-0 "seed" key was dropped still load.
+    assert RatioRecord.from_json_obj(dict(obj, seed=0)).to_json_obj() == obj
     with pytest.raises(ValueError):
         RatioRecord.from_json_obj({"n": 5})
     for bad, message in (
         (dict(obj, chi=3.9), "record: field 'chi' must be int, got 3.9"),
         (dict(obj, exhaustive="false"), "record: field 'exhaustive' must be bool, got 'false'"),
         (dict(obj, n=5.0), "record: field 'n' must be int, got 5.0"),
-        (dict(obj, seed=False), "record: field 'seed' must be int, got False"),
         (dict(obj, witness_graph6=None), "record: field 'witness_graph6' must be str, got None"),
         ([5, 3, 2, "DLo", True], "record: expected an object, got list"),
         ({"n": 5}, "record: missing field 'chi'"),
@@ -341,5 +343,5 @@ def test_packaged_ratio_table_values():
 
 def test_search_meta_defaults():
     meta = SearchMeta()
-    assert meta.nodes == 0 and meta.seed == 0
-    assert not hasattr(meta, "strategy")
+    assert meta.nodes == 0
+    assert not hasattr(meta, "strategy") and not hasattr(meta, "seed")

@@ -202,8 +202,6 @@ def test_ramsey_validation():
         ramsey_exact_small(4, 3)
     with pytest.raises(ValueError):
         ramsey_exact_small(3, 3, workers=0)
-    with pytest.raises(ValueError):
-        ramsey_exact_small(3, 3, n_max=65)
 
 
 def test_ramsey_33_with_verified_witness():
@@ -405,9 +403,11 @@ def test_row_search_does_not_recurse_per_bit():
     assert (masks, counter.count) == ([0], 41)
 
 
-def test_ramsey_size_cap_returns_interval():
-    result = ramsey_exact_small(3, 3, n_max=4)
-    assert result.upper is None and result.lower >= 5
+def test_ramsey_stopped_search_returns_interval():
+    # 40 of the 101 nodes find the 5-vertex witness but not the exhaustion of 6.
+    result = ramsey_exact_small(3, 3, node_budget=40)
+    assert (result.lower, result.upper, result.nodes) == (6, None, 40)
+    assert result.budget_exhausted and result.witness_red.n == 5
 
 
 def test_ramsey_worker_independence():
@@ -438,8 +438,20 @@ def test_packaged_table_contents():
 def test_packaged_table_hash_is_frozen():
     # Provenance pin: any edit to the shipped data must be deliberate.
     assert packaged_bounds_table().sha256() == (
-        "5f19369796afdd82b3893783a53a7c1fce1a4d8e9015314aafac360922ec3107"
+        "9599dd9cdf6b2427b13355eb931431aebf902cdd934993a4818e73035ddcb140"
     )
+
+
+def test_shipped_search_records_match_the_search():
+    # Every record the shipped table credits to the search is what the
+    # search returns today.
+    searched = [rec for rec in packaged_bounds_table().records()
+                if rec.source.startswith("search:")]
+    assert [(rec.s, rec.t) for rec in searched] == [(3, 3), (3, 4), (3, 5)]
+    for rec in searched:
+        assert rec.source == "search: orderly generation of (s,t)-graphs"
+        result = ramsey_exact_small(rec.s, rec.t)
+        assert (rec.lower, rec.upper) == (result.lower, result.upper), (rec.s, rec.t)
 
 
 def test_witness_graphs_roundtrip():
