@@ -3,10 +3,10 @@
 The pinned outputs in ``cli_transcript.json`` cover the exhaustive f(n) and
 Ramsey searches (with and without budgets; f(9) only under one), the f
 construction search, the bounds table and its closure, table verification, the
-single-graph commands, the conjecture checks and reports, the rate constants
-(default, as text, and at delta 0 and 20), the f curve and the ratio
-envelope. A change that alters any of them must be deliberate: regenerate the
-file with
+single-graph commands (two colorings under a chi budget), the conjecture
+checks and reports, the rate constants (default, as text, and at delta 0 and
+20), the f curve and the ratio envelope. A change that alters any of them
+must be deliberate: regenerate the file with
 
     PYTHONPATH=src python tests/test_cli_transcript.py
 
@@ -16,7 +16,7 @@ and record the change.
 import json
 from pathlib import Path
 
-from chiomega.graphs import to_graph6
+from chiomega.graphs import paley_graph, to_graph6
 from conftest import petersen_graph, run_cli
 
 TRANSCRIPT = Path(__file__).with_name("cli_transcript.json")
@@ -34,6 +34,11 @@ def transcript_commands() -> list[list[str]]:
     cmds += [["ramsey", "table", "--closure"], ["f", "verify"]]
     for g6 in ("Dhc", to_graph6(petersen_graph())):
         cmds += [["graph", sub, "--graph6", g6] for sub in ("stats", "color", "greedy")]
+    # Budgeted chi searches that beat the greedy coloring (11 -> 10, 10 -> 9)
+    # before their budget runs out: they pin the DSATUR tree's first leaves.
+    for q, pad, budget in ((37, 11, 100), (41, 7, 1000)):
+        g6 = to_graph6(paley_graph(q).add_isolated(pad))
+        cmds += [["graph", "color", "--graph6", g6, "--budget", str(budget)]]
     cmds += [["ramsey", "table"], ["ramsey", "bound", "--s", "3", "--t", "5"]]
     cmds += [["conjecture", c, "--s-max", "5"] for c in ("rdc", "weak-mult")]
     cmds += [["conjecture", "rates"], ["conjecture", "fact23"], ["constants"], ["f", "curve"]]

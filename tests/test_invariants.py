@@ -156,6 +156,16 @@ def test_chromatic_budget_ladder(g, chi, nodes):
     assert values == sorted(values, reverse=True)
 
 
+def test_chromatic_budget_threshold_of_padded_mycielski4():
+    # f search's n = 48 witness: its 448,613-node tree is too big for the full
+    # ladder above, so only the threshold is pinned.
+    g = _mycielski_k2(4).add_isolated(1)
+    for budget in (448_612, 448_613):
+        result = chromatic_number(g, node_budget=budget)
+        assert (result.value, result.exact) == (6, budget == 448_613), budget
+        assert is_proper_coloring(g, result.witness)
+
+
 def test_solvers_leave_no_cyclic_garbage():
     # The recursive searches are closures that refer to themselves; each
     # solver breaks that cycle on return, so nothing waits for the collector.
@@ -165,6 +175,8 @@ def test_solvers_leave_no_cyclic_garbage():
         max_ratio_exact(6)
         for level in range(1, 4):
             chromatic_number(_mycielski_k2(level))
+        # A search that its budget stops unwinds through BudgetExceeded.
+        assert not chromatic_number(paley_graph(37).add_isolated(11), node_budget=100).exact
         assert gc.collect() == 0
     finally:
         gc.enable()
