@@ -320,7 +320,14 @@ def chromatic_number(g: Graph, node_budget: Optional[int] = None) -> ExactInvari
     nodes = 0
     exact = True
 
-    def descend(free: int, max_used: int) -> None:
+    # Each node owns its saturation planes: a child gets a copy with its
+    # increments added, so nothing is undone on the way back. Colors are tried
+    # in ascending order. The pick's saturation s says that exactly
+    # max_used - s of the colors 1..max_used are free for it; ``left`` counts
+    # those not yet tried, and once it is 0 the scan skips to the new color
+    # max_used + 1. No position is colored max_used + 1 yet, so
+    # near[max_used + 1] is 0.
+    def descend(free: int, max_used: int, sat: list[int]) -> None:
         nonlocal best_k, best_pcolors, nodes
         # A node that already uses best_k colors cannot lead to a better coloring.
         if max_used >= best_k or best_k == lower:
@@ -334,48 +341,54 @@ def chromatic_number(g: Graph, node_budget: Optional[int] = None) -> ExactInvari
             best_pcolors = pcolors[:]
             return
         # Narrow the uncolored positions to the highest saturation, plane by
-        # plane from the top; the lowest position left is the pick.
+        # plane from the top, taking that saturation off ``left``; the lowest
+        # position left is the pick.
         cand = free
+        left = max_used
         for k in down:
-            s = cand & sat[k]
-            if s:
-                cand = s
+            x = cand & sat[k]
+            if x:
+                cand = x
+                left -= 1 << k
         b = cand & -cand
         p = b.bit_length() - 1
         free ^= b
         nbrs = radj[p] & free
-        for c in range(1, max_used + 2):
+        c = 0
+        while True:
+            if left:
+                c += 1
+                old = near[c]
+                if old & b:
+                    continue
+                left -= 1
+            elif c <= max_used:
+                c = max_used + 1
+                old = 0
+            else:
+                return
             if c >= best_k:
-                break
-            old = near[c]
-            if old & b:
-                continue
+                return
             pcolors[p] = c
-            # Coloring p with c saturates its uncolored neighbors not yet next to c:
-            # add one to each of their counts (ripple carry), then take it back.
+            # Coloring p with c saturates its uncolored neighbors not yet next
+            # to c: add one to each of their counts (ripple carry).
             t = nbrs & ~old
             near[c] = old | t
+            child = sat[:]
             carry = t
             for k in up:
-                x = sat[k]
-                sat[k] = x ^ carry
+                x = child[k]
+                child[k] = x ^ carry
                 carry &= x
                 if not carry:
                     break
-            descend(free, c if c > max_used else max_used)
-            borrow = t
-            for k in up:
-                x = sat[k]
-                sat[k] = x ^ borrow
-                borrow &= ~x
-                if not borrow:
-                    break
+            descend(free, c if c > max_used else max_used, child)
             near[c] = old
             if best_k == lower:
                 return
 
     try:
-        descend(free, omega)
+        descend(free, omega, sat)
     except BudgetExceeded:
         exact = False
     # descend refers to itself through its closure: break that cycle so that

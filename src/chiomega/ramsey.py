@@ -385,11 +385,19 @@ def ramsey_exact_small(s: int, t: int, node_budget: Optional[int] = None,
     ``nodes`` never exceeds it and equal inputs give equal results on any
     machine. ``workers`` is validated but has no effect: the search runs in
     the calling thread.
+
+    A pair with (s-1)(t-1) > MAX_VERTICES is a ValueError: its starting
+    witness does not fit in a Graph. At (s-1)(t-1) = MAX_VERTICES, for
+    example (2, 65), no size is left to search, so the result is the open
+    interval [MAX_VERTICES + 1, None] with 0 nodes.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if not 2 <= s <= t:
         raise ValueError(f"need 2 <= s <= t, got ({s}, {t})")
+    if (s - 1) * (t - 1) > MAX_VERTICES:
+        raise ValueError(f"({s}, {t}) needs a starting witness on (s-1)(t-1) = "
+                         f"{(s - 1) * (t - 1)} vertices, above the cap of {MAX_VERTICES}")
 
     counter = _Counter(node_budget)
     witness = _multipartite_witness(s, t)

@@ -214,6 +214,12 @@ def test_input_errors_exit_one(tmp_path, capsys):
         assert code == 1 and out == "", argv
         assert err == f"chiomega: error: cannot write {missing}: No such file or directory\n", argv
         assert "Traceback" not in err
+    # A Ramsey pair whose starting witness exceeds the vertex cap names the pair.
+    code, out = run_cli(["ramsey", "small", "--s", "9", "--t", "10"])
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err == ("chiomega: error: (9, 10) needs a starting witness on (s-1)(t-1) = 72 "
+                   "vertices, above the cap of 64\n")
     # A table record whose field has the wrong JSON type is an input error.
     shipped = json.loads((Path(chiomega.__file__).parent / "data" / "f_table.json").read_text())
     shipped[4]["chi"] = 3.9

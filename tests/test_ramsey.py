@@ -204,6 +204,17 @@ def test_ramsey_validation():
         ramsey_exact_small(3, 3, workers=0)
 
 
+def test_ramsey_refuses_a_starting_witness_above_the_cap():
+    # (s-1)(t-1) = 72 > 64: refused before any graph is built.
+    with pytest.raises(ValueError, match=r"^\(9, 10\) needs a starting witness on "
+                                         r"\(s-1\)\(t-1\) = 72 vertices, above the cap of 64$"):
+        ramsey_exact_small(9, 10)
+    # At exactly 64 vertices no size is left to search: the open interval.
+    result = ramsey_exact_small(2, 65)
+    assert (result.lower, result.upper, result.nodes) == (65, None, 0)
+    assert result.witness_red.n == 64
+
+
 def test_ramsey_33_with_verified_witness():
     result = ramsey_exact_small(3, 3)
     assert result.exact and result.value == 6
