@@ -232,21 +232,22 @@ def _all_masks(counter: _Counter) -> MaskSource:
 
 def _canonical_descendants(adj: tuple[int, ...], n: int,
                            masks: MaskSource) -> Iterator[tuple[int, ...]]:
-    """The canonical graphs on n vertices below ``adj`` in the extension tree.
+    """``adj``, then every canonical graph with at most n vertices below it in
+    the extension tree, in pre-order.
 
     ``masks(parent)`` gives the neighbourhoods a new vertex may take, in
     ascending order, and does the source's own node counting. A source that
     keeps only the children of a hereditary class generates that class: every
     canonical graph's parent is an induced subgraph of it, so pruning at the
-    parent loses no class. Yields in a fixed order.
+    parent loses no class. Yields in a fixed order; a caller that wants one
+    order keeps the graphs of that length.
     """
-    if len(adj) == n:
-        yield adj
-        return
-    for mask in masks(adj):
-        child = _extend(adj, mask)
-        if _is_canonical(child):
-            yield from _canonical_descendants(child, n, masks)
+    yield adj
+    if len(adj) < n:
+        for mask in masks(adj):
+            child = _extend(adj, mask)
+            if _is_canonical(child):
+                yield from _canonical_descendants(child, n, masks)
 
 
 def canonical_graphs(n: int) -> Iterator[Graph]:
@@ -254,7 +255,8 @@ def canonical_graphs(n: int) -> Iterator[Graph]:
     if not 1 <= n <= 64:
         raise ValueError(f"need 1 <= n <= 64, got {n}")
     for adj in _canonical_descendants((0,), n, _all_masks(_Counter())):
-        yield Graph(n, adj)
+        if len(adj) == n:
+            yield Graph(n, adj)
 
 
 def _prefer(cand: tuple[Ratio, Graph], best: Optional[tuple[Ratio, Graph]]) -> bool:
@@ -295,7 +297,8 @@ def max_ratio_exact(n: int, node_budget: Optional[int] = None, workers: int = 1)
 
     counter = _Counter(node_budget)
     masks = _all_masks(counter)
-    roots = [(0,)] if n <= _ROOT_SIZE else _canonical_descendants((0,), _ROOT_SIZE, masks)
+    roots = [(0,)] if n <= _ROOT_SIZE else (
+        adj for adj in _canonical_descendants((0,), _ROOT_SIZE, masks) if len(adj) == _ROOT_SIZE)
     best: Optional[tuple[Ratio, Graph]] = None
     complete = True
     try:
@@ -303,6 +306,8 @@ def max_ratio_exact(n: int, node_budget: Optional[int] = None, workers: int = 1)
             part: Optional[tuple[Ratio, Graph]] = None
             try:
                 for adj in _canonical_descendants(root, n, masks):
+                    if len(adj) < n:
+                        continue
                     g = Graph(n, adj)
                     omega = clique_number(g).value
                     # chi <= n caps the ratio at n/omega; skip the chromatic solve when

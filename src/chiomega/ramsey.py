@@ -315,27 +315,25 @@ def _ramsey_masks(s: int, t: int, counter: _Counter) -> MaskSource:
 
 
 class _ColoringSearch:
-    """Search for a red/blue coloring of K_n with no red K_s and no blue K_t.
+    """Search for red/blue colorings of K_n with no red K_s and no blue K_t,
+    one size n at a time in ascending order.
 
     Such a coloring is an (s, t)-graph on n vertices (red = edges): a graph
-    with no K_s and no independent t-set. The search is orderly generation of
-    (s, t)-graphs, the same generator as ``canonical_graphs`` fed with the
-    masks of ``_ramsey_masks``, so each isomorphism class is visited once and
-    the first graph on n vertices is the witness. The mask searches tick
-    ``counter``, which holds the node count and budget of a whole
-    ``ramsey_exact_small`` call.
+    with no K_s and no independent t-set. The search holds one pre-order walk
+    of ``canonical_graphs``'s generator fed with ``_ramsey_masks``, so each
+    class is visited once, and each size resumes it: a graph comes after its
+    parent, so the first graph on n + 1 vertices comes after the first on n.
+    The mask searches tick ``counter``, one budget for all sizes.
     """
 
-    def __init__(self, s: int, t: int, n: int, counter: _Counter) -> None:
-        self.s, self.t, self.n = s, t, n
-        self.counter = counter
+    def __init__(self, s: int, t: int, counter: _Counter) -> None:
+        self.walk = _canonical_descendants((0,), MAX_VERTICES, _ramsey_masks(s, t, counter))
         self.witness: Optional[tuple[int, ...]] = None
 
-    def run_from(self) -> bool:
-        """Search from one vertex; True iff an (s, t)-graph on n vertices,
-        left in ``witness`` as its red rows, was found."""
-        masks = _ramsey_masks(self.s, self.t, self.counter)
-        self.witness = next(_canonical_descendants((0,), self.n, masks), None)
+    def run_from(self, n: int) -> bool:
+        """Resume the walk to its first graph on n vertices; True iff it found
+        one, left in ``witness`` as its red rows."""
+        self.witness = next((adj for adj in self.walk if len(adj) == n), None)
         return self.witness is not None
 
 
@@ -358,14 +356,12 @@ def _verify_witness(red: Graph, s: int, t: int) -> None:
         raise RuntimeError(f"witness verification failed: blue clique of size {t} present")
 
 
-def _search_size(s: int, t: int, n: int,
-                 counter: _Counter) -> tuple[Optional[tuple[int, ...]], bool]:
-    """Decide whether a valid coloring of K_n exists, ticking ``counter`` per search node.
+def _search_size(search: _ColoringSearch, n: int) -> tuple[Optional[tuple[int, ...]], bool]:
+    """Decide whether a valid coloring of K_n exists by resuming ``search``.
 
     Returns (witness red rows or None, budget_exhausted)."""
-    search = _ColoringSearch(s, t, n, counter)
     try:
-        search.run_from()
+        search.run_from(n)
     except BudgetExceeded:
         return None, True
     return search.witness, False
@@ -380,8 +376,9 @@ def ramsey_exact_small(s: int, t: int, node_budget: Optional[int] = None,
     the search decides one size at a time whether an (s, t)-graph, that is a
     valid coloring, exists. The first size with none is the exact value. If
     the node budget runs out first, or the search passes MAX_VERTICES, the
-    result is the interval certified so far (upper bound None). One budget
-    counts the nodes of the mask searches of all sizes in search order, so
+    result is the interval certified so far (upper bound None). All sizes
+    share one walk of the generation tree, so only the exhausted size walks
+    all of it, and one budget counts the nodes of its mask searches in order:
     ``nodes`` never exceeds it and equal inputs give equal results on any
     machine. ``workers`` is validated but has no effect: the search runs in
     the calling thread.
@@ -400,16 +397,14 @@ def ramsey_exact_small(s: int, t: int, node_budget: Optional[int] = None,
                          f"{(s - 1) * (t - 1)} vertices, above the cap of {MAX_VERTICES}")
 
     counter = _Counter(node_budget)
+    search = _ColoringSearch(s, t, counter)
     witness = _multipartite_witness(s, t)
     _verify_witness(witness, s, t)
-    lower = witness.n + 1
-    while lower <= MAX_VERTICES:
-        rows, over = _search_size(s, t, lower, counter)
-        if over:
-            return RamseyResult(s, t, lower, None, counter.count, witness, budget_exhausted=True)
-        if rows is None:
-            return RamseyResult(s, t, lower, lower, counter.count, witness)
+    for lower in range(witness.n + 1, MAX_VERTICES + 1):
+        rows, over = _search_size(search, lower)
+        if over or rows is None:
+            return RamseyResult(s, t, lower, None if over else lower, counter.count, witness,
+                                budget_exhausted=over)
         witness = Graph(lower, rows)
         _verify_witness(witness, s, t)
-        lower += 1
-    return RamseyResult(s, t, lower, None, counter.count, witness)
+    return RamseyResult(s, t, witness.n + 1, None, counter.count, witness)

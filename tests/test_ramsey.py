@@ -1,5 +1,6 @@
 """Ramsey search, bound records, table closure, and the shipped table."""
 
+import collections
 import itertools
 import json
 import re
@@ -14,6 +15,7 @@ from chiomega.invariants import _Counter, clique_number, independence_number
 from chiomega.ramsey import (
     BoundsTable,
     RamseyBoundRecord,
+    _ColoringSearch,
     _ramsey_masks,
     _search_size,
     erdos_szekeres_bound,
@@ -218,7 +220,7 @@ def test_ramsey_refuses_a_starting_witness_above_the_cap():
 def test_ramsey_33_with_verified_witness():
     result = ramsey_exact_small(3, 3)
     assert result.exact and result.value == 6
-    assert result.nodes == 101
+    assert result.nodes == 71
     red = result.witness_red
     blue = result.witness_blue
     assert red.n == 5
@@ -303,13 +305,21 @@ def test_ramsey_budget_returns_certified_interval():
                     == (lower, nodes, red)), (t, budget)
 
 
-# ramsey_exact_small(3, t): (least budget that reaches lower, lower). One
-# budget covers all sizes in search order, so lower steps up exactly when the
-# budget reaches the node that completes the next witness.
+# ramsey_exact_small(3, t): (least budget that reaches lower, lower). All
+# sizes share one walk, so lower reaches n + 1 exactly when the budget covers
+# the walk up to its first graph on n vertices.
 _RAMSEY_STEPS = {
-    4: ((85, 8), (219, 9)),
-    5: ((229, 10), (601, 11), (1104, 12)),
+    4: ((85, 8), (134, 9)),
+    5: ((229, 10), (372, 11), (503, 12)),
 }
+
+
+def _nodes_to_first_graph(s: int, t: int, n: int) -> int:
+    """Nodes a fresh walk of the (s, t)-graphs spends up to its first graph on n vertices."""
+    counter = _Counter()
+    walk = _canonical_descendants((0,), n, _ramsey_masks(s, t, counter))
+    next(adj for adj in walk if len(adj) == n)
+    return counter.count
 
 
 def test_ramsey_budget_is_spent_in_search_order():
@@ -322,13 +332,14 @@ def test_ramsey_budget_is_spent_in_search_order():
             prev = result.lower
     for t, steps in _RAMSEY_STEPS.items():
         for budget, lower in steps:
+            assert budget == _nodes_to_first_graph(3, t, lower - 1), (t, lower)
             assert ramsey_exact_small(3, t, node_budget=budget - 1).lower == lower - 1
             assert ramsey_exact_small(3, t, node_budget=budget).lower == lower
-    # R(3,4) = 9 is certified by 1605 nodes in all, and not by one fewer.
-    full = ramsey_exact_small(3, 4, node_budget=1605)
-    assert full.exact and full.nodes == 1605 and not full.budget_exhausted
-    short = ramsey_exact_small(3, 4, node_budget=1604)
-    assert (short.upper, short.nodes, short.budget_exhausted) == (None, 1604, True)
+    # R(3,4) = 9 is certified by 1386 nodes in all, and not by one fewer.
+    full = ramsey_exact_small(3, 4, node_budget=1386)
+    assert full.exact and full.nodes == 1386 and not full.budget_exhausted
+    short = ramsey_exact_small(3, 4, node_budget=1385)
+    assert (short.upper, short.nodes, short.budget_exhausted) == (None, 1385, True)
     with pytest.raises(ValueError):
         ramsey_exact_small(3, 4, node_budget=-1)
 
@@ -343,14 +354,10 @@ _R3T_CLASS_COUNTS = {
 
 
 def _class_counts(s: int, t: int) -> list[int]:
-    """Classes of (s, t)-graphs per order, generated level by level until none is left."""
-    masks = _ramsey_masks(s, t, _Counter())
-    counts, level = [], [(0,)]
-    while level:
-        counts.append(len(level))
-        level = [child for adj in level
-                 for child in _canonical_descendants(adj, len(adj) + 1, masks)]
-    return counts
+    """Classes of (s, t)-graphs per order, counted along one walk of the whole tree."""
+    walk = _canonical_descendants((0,), 64, _ramsey_masks(s, t, _Counter()))
+    per_order = collections.Counter(len(adj) for adj in walk)
+    return [per_order[n] for n in range(1, len(per_order) + 1)]
 
 
 def test_ramsey_masks_generate_the_st_graphs():
@@ -361,15 +368,16 @@ def test_ramsey_masks_generate_the_st_graphs():
     for s, t in ((3, 5), (4, 4)):
         for n in range(1, 8):
             masks = _ramsey_masks(s, t, _Counter())
-            got = [Graph(n, adj) for adj in _canonical_descendants((0,), n, masks)]
+            got = [Graph(n, adj) for adj in _canonical_descendants((0,), n, masks)
+                   if len(adj) == n]
             want = [g for g in canonical_graphs(n)
                     if clique_number(g).value < s and independence_number(g).value < t]
             assert got == want, (s, t, n)
 
 
-# _search_size(3, t, n) witnesses, the first (3, t)-graph on n vertices
-# that the generator reaches. They are the labellings that the row search it
-# replaced found.
+# _search_size witnesses for (3, t) at n vertices, the first (3, t)-graph
+# on n vertices that the generator reaches. They are the labellings that the
+# row search it replaced found.
 _R3T_WITNESSES = {
     4: ["D@O", "E@Q?", "F@QM?", "G@QMf?"],
     5: ["H?CaCF?", "I?CaCFCw?", "J?CaCFCyF_?", "K?CaJAHceg\\?", "L?CaJPoakiUOr?"],
@@ -378,15 +386,17 @@ _R3T_WITNESSES = {
 
 def test_search_size_witnesses():
     for t, pins in _R3T_WITNESSES.items():
+        # One search per t, resumed at each size in ascending order.
+        search = _ColoringSearch(3, t, _Counter())
         for pin in pins:
             n = from_graph6(pin).n
-            rows, over = _search_size(3, t, n, _Counter())
+            rows, over = _search_size(search, n)
             assert not over and to_graph6(Graph(n, rows)) == pin, (t, n)
 
 
 def test_ramsey_35_from_scratch():
     result = ramsey_exact_small(3, 5)
-    assert (result.lower, result.upper, result.nodes) == (14, 14, 155612)
+    assert (result.lower, result.upper, result.nodes) == (14, 14, 121925)
     assert to_graph6(result.witness_red) == "L?CaJPoakiUOr?"
 
 
@@ -394,7 +404,8 @@ def test_row_search_does_not_recurse_per_bit():
     # A search that recursed per bit would need a frame for each of the 36
     # edges of K_9, the size R(3,4) exhausts. Orderly generation nests one
     # generator per vertex and the canonicity test one call per position;
-    # under pytest on CPython 3.11 that takes 26 frames.
+    # with the filter that resumes the walk at each size, under pytest on
+    # CPython 3.11 that takes 27 frames.
     depth = 0
     frame = sys._getframe()
     while frame is not None:
@@ -410,12 +421,12 @@ def test_row_search_does_not_recurse_per_bit():
         masks = list(_ramsey_masks(2, 64, counter)((0,) * 40))
     finally:
         sys.setrecursionlimit(limit)
-    assert (result.value, result.nodes) == (9, 1605)
+    assert (result.value, result.nodes) == (9, 1386)
     assert (masks, counter.count) == ([0], 41)
 
 
 def test_ramsey_stopped_search_returns_interval():
-    # 40 of the 101 nodes find the 5-vertex witness but not the exhaustion of 6.
+    # 40 of the 71 nodes find the 5-vertex witness but not the exhaustion of 6.
     result = ramsey_exact_small(3, 3, node_budget=40)
     assert (result.lower, result.upper, result.nodes) == (6, None, 40)
     assert result.budget_exhausted and result.witness_red.n == 5
