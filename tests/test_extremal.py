@@ -184,6 +184,32 @@ def test_max_ratio_exact_budget():
         assert got == (value, witness, nodes, exhaustive), budget
 
 
+# SHA-256 of one line per budget, "budget value witness exhaustive nodes" or
+# "budget over" when the budget ends before any graph is scored: every budget
+# of max_ratio_exact(5) up to its 218 extension tests, and every 10th budget of
+# max_ratio_exact(6) plus its full 1306. Pins where each budget stops the walk
+# and which incumbent it keeps, not only the end points.
+_BUDGET_FOLD_SHA256 = {
+    (5, range(219)): "dbf6a5de60384dfe34857bad17bbe651f360eb1a811da12088f57c1691f9857d",
+    (6, (*range(0, 1306, 10), 1306)):
+        "c88f21f5e6d94b3bfef4f63ac181a2dabfcca56f1f3d456de044c48d6563c5d0",
+}
+
+
+def test_max_ratio_exact_budget_fold_is_pinned():
+    for (n, budgets), digest in _BUDGET_FOLD_SHA256.items():
+        lines = []
+        for budget in budgets:
+            try:
+                rec = max_ratio_exact(n, node_budget=budget)
+            except BudgetExceeded:
+                lines.append(f"{budget} over")
+                continue
+            lines.append(f"{budget} {rec.value} {to_graph6(rec.witness)} "
+                         f"{rec.exhaustive} {rec.meta.nodes}")
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest, n
+
+
 def test_max_ratio_exact_worker_independence():
     base = max_ratio_exact(6)
     for workers in (2, 4):
