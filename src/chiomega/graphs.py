@@ -20,6 +20,13 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def complement_rows(adj: tuple[int, ...]) -> list[int]:
+    """The complement's rows, unvalidated: each vertex's non-neighbours but itself."""
+    full = (1 << len(adj)) - 1
+    # A list, not tuple(<generator>): see extremal._extend.
+    return [(full ^ row) & ~(1 << v) for v, row in enumerate(adj)]
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable graph: ``adj[i]`` is the neighbor bitmask of vertex ``i``."""
@@ -68,8 +75,7 @@ class Graph:
     # -- derived graphs -----------------------------------------------------
 
     def complement(self) -> Graph:
-        full = self.full_mask()
-        return Graph(self.n, tuple((full ^ row) & ~(1 << i) for i, row in enumerate(self.adj)))
+        return Graph(self.n, tuple(complement_rows(self.adj)))
 
     def induced(self, mask: int) -> Graph:
         """Induced subgraph on the vertices of ``mask``, relabeled in order."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .graphs import Graph, bits
+from .graphs import Graph, bits, complement_rows
 
 
 class BudgetExceeded(Exception):
@@ -263,8 +263,8 @@ def chromatic_number(g: Graph, node_budget: Optional[int] = None) -> ExactInvari
     n = g.n
     adj = g.adj
     full = g.full_mask()
-    omega, clique_mask = _max_clique(adj, g.full_mask())
-    alpha, _ = _max_clique(tuple(~a & full & ~(1 << v) for v, a in enumerate(adj)), full)
+    omega, clique_mask = _max_clique(adj, full)
+    alpha, _ = _max_clique(complement_rows(adj), full)
     # Two standard lower bounds: the clique bound and the independence-number
     # bound ceil(n / alpha); the search may stop as soon as either is met.
     lower = max(omega, -(-n // alpha))

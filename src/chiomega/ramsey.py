@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Optional
 
 from ._records import load_packaged, read_fields, read_records, write_records
 from .extremal import MaskSource, _canonical_descendants
-from .graphs import MAX_VERTICES, Graph, from_edges, to_graph6
+from .graphs import MAX_VERTICES, Graph, complement_rows, from_edges, to_graph6
 from .invariants import (BudgetExceeded, _Counter, _exists_clique, clique_number,
                          independence_number)
 
@@ -288,8 +288,7 @@ def _ramsey_masks(s: int, t: int, counter: _Counter) -> MaskSource:
 
     def masks(red: tuple[int, ...]) -> Iterator[int]:
         k = len(red)
-        # A list, not tuple(<generator>): see extremal._extend.
-        blue = [((1 << k) - 1) & ~(row | 1 << v) for v, row in enumerate(red)]
+        blue = complement_rows(red)
         tick()
         # (vertex u, put it inside?, mask so far, outside so far); the top is tried next.
         stack = [(k - 1, True, 0, 0), (k - 1, False, 0, 0)]
@@ -328,13 +327,11 @@ class _ColoringSearch:
 
     def __init__(self, s: int, t: int, counter: _Counter) -> None:
         self.walk = _canonical_descendants((0,), MAX_VERTICES, _ramsey_masks(s, t, counter))
-        self.witness: Optional[tuple[int, ...]] = None
 
-    def run_from(self, n: int) -> bool:
-        """Resume the walk to its first graph on n vertices; True iff it found
-        one, left in ``witness`` as its red rows."""
-        self.witness = next((adj for adj in self.walk if len(adj) == n), None)
-        return self.witness is not None
+    def run_from(self, n: int) -> Optional[tuple[int, ...]]:
+        """Resume the walk to its first graph on n vertices and return its red
+        rows, or None when the walk ends without one."""
+        return next((adj for adj in self.walk if len(adj) == n), None)
 
 
 def _multipartite_witness(s: int, t: int) -> Graph:
@@ -357,14 +354,11 @@ def _verify_witness(red: Graph, s: int, t: int) -> None:
 
 
 def _search_size(search: _ColoringSearch, n: int) -> tuple[Optional[tuple[int, ...]], bool]:
-    """Decide whether a valid coloring of K_n exists by resuming ``search``.
-
-    Returns (witness red rows or None, budget_exhausted)."""
+    """Resume ``search`` to n vertices: (witness red rows or None, budget_exhausted)."""
     try:
-        search.run_from(n)
+        return search.run_from(n), False
     except BudgetExceeded:
         return None, True
-    return search.witness, False
 
 
 def ramsey_exact_small(s: int, t: int, node_budget: Optional[int] = None,

@@ -11,6 +11,7 @@ from chiomega.extremal import (
     Ratio,
     RatioRecord,
     SearchMeta,
+    _construction_portfolio,
     _is_canonical,
     canonical_graphs,
     load_ratio_table,
@@ -291,10 +292,26 @@ def test_max_ratio_search_determinism():
     a = max_ratio_search(13, strategy="hybrid", seed=5)
     b = max_ratio_search(13, strategy="constructions", seed=0)
     assert a.value == b.value and to_graph6(a.witness) == to_graph6(b.witness)
-    assert a.meta.nodes == b.meta.nodes == 7  # portfolio graphs scored at n = 13
+    assert a.meta.nodes == b.meta.nodes == 5  # portfolio graphs scored at n = 13
     c = max_ratio_search(13, strategy="hybrid", seed=5, workers=3)
     assert c.value == a.value and to_graph6(c.witness) == to_graph6(a.witness)
     assert c.meta.nodes == a.meta.nodes
+
+
+def test_portfolio_has_no_repeated_or_dominated_graph():
+    # _prefer never takes a graph already scored, nor one with the (chi, omega)
+    # of an earlier entry and more edges: such an entry only costs a chi solve.
+    for n in range(5, 25):
+        seen: dict[tuple[int, int], int] = {}
+        codes = []
+        for name, g in _construction_portfolio(n):
+            codes.append(to_graph6(g))
+            chi = chromatic_number(g)
+            assert chi.exact, (n, name)
+            key, edges = (chi.value, clique_number(g).value), g.num_edges()
+            assert edges <= seen.get(key, edges), (n, name)
+            seen[key] = edges
+        assert len(set(codes)) == len(codes), n
 
 
 def test_max_ratio_search_agrees_with_exhaustion_and_is_monotone():
