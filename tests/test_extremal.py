@@ -1,5 +1,6 @@
 """Exact f(n) enumeration, ratio arithmetic, the construction search, and the table."""
 
+import functools
 import hashlib
 import itertools
 import math
@@ -7,12 +8,18 @@ import re
 
 import pytest
 
+from chiomega import extremal
 from chiomega.extremal import (
     Ratio,
     RatioRecord,
     SearchMeta,
+    _canonical_descendants,
+    _child_bounds,
     _construction_portfolio,
+    _extend,
     _is_canonical,
+    _prefer,
+    _solve_parent,
     canonical_graphs,
     load_ratio_table,
     max_ratio_exact,
@@ -23,7 +30,7 @@ from chiomega.extremal import (
     save_ratio_table,
     verify_ratio_table,
 )
-from chiomega.graphs import cycle_graph, from_graph6, random_graph, to_graph6
+from chiomega.graphs import Graph, cycle_graph, from_graph6, random_graph, to_graph6
 from chiomega.invariants import BudgetExceeded, chromatic_number, clique_number
 
 
@@ -82,7 +89,9 @@ def _brute_canonical(adj: tuple[int, ...]) -> tuple[bool, tuple[int, ...]]:
     return string(best) == string(range(n)), least
 
 
-def test_is_canonical_agrees_with_brute_force():
+@functools.lru_cache(maxsize=None)
+def _labelled_cases() -> tuple[tuple[tuple[int, ...], bool], ...]:
+    """Labelled graphs with whether each is least under ``_brute_canonical``."""
     cases = []
     for n in range(1, 6):  # every labelled graph: 1 + 2 + 8 + 64 + 1024
         pairs = [(u, v) for v in range(n) for u in range(v)]
@@ -116,8 +125,35 @@ def test_is_canonical_agrees_with_brute_force():
     for adj in graphs:
         is_least, least = _brute_canonical(adj)
         cases += [(adj, is_least), (least, True)]
-    for adj, expected in cases:
+    return tuple(cases)
+
+
+def test_is_canonical_agrees_with_brute_force():
+    for adj, expected in _labelled_cases():
         assert _is_canonical(adj) == expected, adj
+
+
+def test_last_column_check_rejects_only_non_canonical_graphs(monkeypatch):
+    # Each labelled graph is offered as the one child of itself minus its last
+    # vertex. A child that never reaches _is_canonical was rejected by the
+    # check on its last two columns before it was built.
+    tested = []
+    monkeypatch.setattr(extremal, "_is_canonical",
+                        lambda adj: tested.append(adj) or _is_canonical(adj))
+    rejected = 0
+    for adj, is_least in _labelled_cases():
+        k = len(adj) - 1
+        if k < 1:
+            continue
+        parent = tuple(row & ~(1 << k) for row in adj[:k])
+        tested.clear()
+        walk = list(_canonical_descendants(parent, k + 1, lambda p: (adj[k],)))
+        assert walk[1:] == ([adj] if is_least else []), adj
+        if not tested:
+            assert not is_least, adj
+            rejected += 1
+    # 493 of the 1,184 graphs on two or more vertices.
+    assert rejected == 493
 
 
 def test_canonical_enumeration_yields_distinct_invariant_profiles():
@@ -140,6 +176,37 @@ def test_max_ratio_exact_small_values():
     assert all(witness.degree(v) == 2 for v in range(5))  # C5
     assert chromatic_number(witness).value == 3
     assert clique_number(witness).value == 2
+
+
+def test_child_bounds_hold_for_every_child_of_small_parents():
+    # Every canonical parent on up to 6 vertices, every neighbourhood of a new
+    # vertex: chi(parent) <= chi(child) <= up and omega(child) >= lo.
+    children = 0
+    for k in range(1, 7):
+        for parent in canonical_graphs(k):
+            classes, clique = _solve_parent(parent.adj)
+            assert len(classes) == chromatic_number(parent).value
+            assert clique.bit_count() == clique_number(parent).value
+            for mask in range(1 << k):
+                child = Graph(k + 1, _extend(parent.adj, mask))
+                up, lo = _child_bounds(mask, classes, clique)
+                assert len(classes) <= chromatic_number(child).value <= up, (parent.adj, mask)
+                assert clique_number(child).value >= lo, (parent.adj, mask)
+                children += 1
+    assert children == 11290
+
+
+def test_max_ratio_exact_equals_unbounded_maximum():
+    # The plain maximum under the tie-break, every graph scored in full: no
+    # bound, no skip and no fold.
+    for n in range(1, 8):
+        best = None
+        for g in canonical_graphs(n):
+            cand = (Ratio(chromatic_number(g).value, clique_number(g).value), g)
+            if _prefer(cand, best):
+                best = cand
+        rec = max_ratio_exact(n)
+        assert (str(rec.value), to_graph6(rec.witness)) == (str(best[0]), to_graph6(best[1])), n
 
 
 def test_max_ratio_exact_rejects_big_n():
