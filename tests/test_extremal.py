@@ -254,10 +254,15 @@ def test_max_ratio_exact_budget():
 
 # SHA-256 of one line per budget, "budget value witness exhaustive nodes" or
 # "budget over" when the budget ends before any graph is scored: every budget
-# of max_ratio_exact(5) up to its 218 extension tests, and every 10th budget of
-# max_ratio_exact(6) plus its full 1306. Pins where each budget stops the walk
-# and which incumbent it keeps, not only the end points.
+# of max_ratio_exact(n) for n = 1..5 up to its 0, 2, 10, 42 and 218 extension
+# tests, and every 10th budget of max_ratio_exact(6) plus its full 1306. Pins
+# where each budget stops the walk and which incumbent it keeps, not only the
+# end points.
 _BUDGET_FOLD_SHA256 = {
+    (1, range(1)): "cb9a5e7b0f722f5d1105632dd95fc082959362e4e45268ed8094370986344387",
+    (2, range(3)): "e87b2510ad2576aac60d995b2d69f556095b156400e5d665815373eac8e202c5",
+    (3, range(11)): "06d7944c7c7ba6e7b2e0feffb7be00195a8ad6e1d669c6f84969d546ebea8124",
+    (4, range(43)): "3116f3fcdeaf05640d43b916125282fa22954d3ccbd68a3a37b6c3f635d72a48",
     (5, range(219)): "dbf6a5de60384dfe34857bad17bbe651f360eb1a811da12088f57c1691f9857d",
     (6, (*range(0, 1306, 10), 1306)):
         "c88f21f5e6d94b3bfef4f63ac181a2dabfcca56f1f3d456de044c48d6563c5d0",

@@ -155,6 +155,19 @@ def test_graph6_roundtrip_random():
         assert from_graph6(to_graph6(g)) == g
 
 
+def test_graph6_long_header():
+    # From 63 vertices the size is '~' and three 6-bit digits, high first.
+    assert to_graph6(empty_graph(62)).startswith("}")
+    assert to_graph6(empty_graph(63)).startswith("~??~")
+    assert to_graph6(empty_graph(64)).startswith("~?@?")
+    for n in (63, 64):
+        for seed in range(3):
+            g = random_graph(n, 0.4, seed=seed)
+            text = to_graph6(g)
+            assert len(text) == 4 + (n * (n - 1) // 2 + 5) // 6
+            assert from_graph6(text) == g
+
+
 def test_graph6_rejects_malformed():
     with pytest.raises(ValueError):
         from_graph6("")
