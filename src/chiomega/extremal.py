@@ -230,6 +230,23 @@ def _all_masks(counter: _Counter) -> MaskSource:
     return masks
 
 
+def _child(adj: tuple[int, ...], mask: int) -> Optional[tuple[int, ...]]:
+    """The child of ``adj`` whose new vertex is adjacent to ``mask``, or None
+    when that child is not canonically labeled."""
+    # Swapping the last two vertices leaves the earlier columns alone and puts
+    # the mask below the parent's last vertex in place of that vertex's row.
+    # Where the two first differ, a 1 in the row means the swap gives a smaller
+    # string: the child is not canonical. (The mask's bit at the parent's last
+    # vertex, where the row has none, belongs to a later column and never
+    # rejects.)
+    col = adj[-1]
+    d = mask ^ col
+    if col & d & -d:
+        return None
+    child = _extend(adj, mask)
+    return child if _is_canonical(child) else None
+
+
 def _canonical_descendants(adj: tuple[int, ...], n: int,
                            masks: MaskSource) -> Iterator[tuple[int, ...]]:
     """``adj``, then every canonical graph with at most n vertices below it in
@@ -239,26 +256,14 @@ def _canonical_descendants(adj: tuple[int, ...], n: int,
     ascending order, and does the source's own node counting. A source that
     keeps only the children of a hereditary class generates that class: every
     canonical graph's parent is an induced subgraph of it, so pruning at the
-    parent loses no class. A source may also drop children on the last order
-    n that it can prove irrelevant to its caller; they have no children to
-    lose. Yields in a fixed order; a caller that wants one order keeps the
-    graphs of that length.
+    parent loses no class. Yields in a fixed order; a caller that wants one
+    order keeps the graphs of that length.
     """
     yield adj
     if len(adj) < n:
-        # Swapping the last two vertices leaves the earlier columns alone and
-        # puts the mask below the parent's last vertex in place of that
-        # vertex's row. Where the two first differ, a 1 in the row means the
-        # swap gives a smaller string: the child is not canonical. (The mask's
-        # bit at the parent's last vertex, where the row has none, belongs to
-        # a later column and never rejects.)
-        col = adj[-1]
         for mask in masks(adj):
-            d = mask ^ col
-            if col & d & -d:
-                continue
-            child = _extend(adj, mask)
-            if _is_canonical(child):
+            child = _child(adj, mask)
+            if child is not None:
                 yield from _canonical_descendants(child, n, masks)
 
 
@@ -340,29 +345,15 @@ def max_ratio_exact(n: int, node_budget: Optional[int] = None, workers: int = 1)
         raise ValueError("workers must be >= 1")
 
     counter = _Counter(node_budget)
+    if n == 1:
+        # K1 has no parent to extend and takes no extension test.
+        return RatioRecord(1, Ratio(1, 1), Graph(1, (0,)), exhaustive=True)
     every = _all_masks(counter)
     best: Optional[tuple[Ratio, Graph]] = None
     part: Optional[tuple[Ratio, Graph]] = None
-    # Classes and clique of the last graph on n - 1 vertices; at first those of
-    # the empty graph, the parent of the one-vertex graph.
-    parent: tuple[tuple[int, ...], int] = ((), 0)
-
-    def last_order(adj: tuple[int, ...]) -> Iterator[int]:
-        # Every mask is ticked; one whose child cannot beat or tie the
-        # subtree's incumbent is dropped before the child is built.
-        for mask in every(adj):
-            if part is not None:
-                up, lo = _child_bounds(mask, *parent)
-                if up * part[0].den < part[0].num * lo:
-                    continue
-            yield mask
-
-    def masks(adj: tuple[int, ...]) -> Iterable[int]:
-        return every(adj) if len(adj) < n - 1 else last_order(adj)
-
     complete = True
     try:
-        for adj in _canonical_descendants((0,), n, masks):
+        for adj in _canonical_descendants((0,), n - 1, every):
             if len(adj) == _ROOT_SIZE < n:
                 # A subtree starts: fold the last one's incumbent into best. Its
                 # ties are the traced enum benchmark's only to_graph6 calls; ROADMAP
@@ -370,21 +361,27 @@ def max_ratio_exact(n: int, node_budget: Optional[int] = None, workers: int = 1)
                 if part is not None and _prefer(part, best):
                     best = part
                 part = None
-            if len(adj) == n - 1:
-                # Its children come next in pre-order, bounded by last_order.
-                parent = _solve_parent(adj)
-            if len(adj) < n:
+            if len(adj) < n - 1:
                 continue
-            g = Graph(n, adj)
-            omega = clique_number(g).value
-            # Skip the chromatic solve when even the bound on chi cannot beat
-            # or tie the subtree's incumbent.
-            up = _child_bounds(adj[-1], *parent)[0]
-            if part is not None and up * part[0].den < part[0].num * omega:
-                continue
-            cand = (Ratio(chromatic_number(g).value, omega), g)
-            if _prefer(cand, part):
-                part = cand
+            classes, clique = _solve_parent(adj)
+            for mask in every(adj):
+                # A child whose bounds cannot beat or tie the subtree's
+                # incumbent is never built; the mask is still counted.
+                up, lo = _child_bounds(mask, classes, clique)
+                if part is not None and up * part[0].den < part[0].num * lo:
+                    continue
+                child = _child(adj, mask)
+                if child is None:
+                    continue
+                g = Graph(n, child)
+                omega = clique_number(g).value
+                # Skip the chromatic solve when even the bound on chi cannot
+                # beat or tie the subtree's incumbent.
+                if part is not None and up * part[0].den < part[0].num * omega:
+                    continue
+                cand = (Ratio(chromatic_number(g).value, omega), g)
+                if _prefer(cand, part):
+                    part = cand
     except BudgetExceeded:
         complete = False
     if part is not None and _prefer(part, best):
