@@ -27,6 +27,22 @@ def complement_rows(adj: tuple[int, ...]) -> list[int]:
     return [(full ^ row) & ~(1 << v) for v, row in enumerate(adj)]
 
 
+def _induced_rows(adj: tuple[int, ...], verts: list[int]) -> list[int]:
+    """The rows of the subgraph induced on ``verts``, its vertex k being ``verts[k]``."""
+    pos = [0] * len(adj)
+    keep = 0
+    for k, v in enumerate(verts):
+        pos[v] = k
+        keep |= 1 << v
+    rows = []
+    for v in verts:
+        row = 0
+        for u in bits(adj[v] & keep):
+            row |= 1 << pos[u]
+        rows.append(row)
+    return rows
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable graph: ``adj[i]`` is the neighbor bitmask of vertex ``i``."""
@@ -82,14 +98,7 @@ class Graph:
         verts = list(bits(mask))
         if not verts:
             raise ValueError("induced subgraph needs at least one vertex")
-        pos = {v: k for k, v in enumerate(verts)}
-        rows = []
-        for v in verts:
-            row = 0
-            for u in bits(self.adj[v] & mask):
-                row |= 1 << pos[u]
-            rows.append(row)
-        return Graph(len(verts), tuple(rows))
+        return Graph(len(verts), tuple(_induced_rows(self.adj, verts)))
 
     def add_isolated(self, count: int) -> Graph:
         """Pad with ``count`` isolated vertices (keeps chi and omega)."""
@@ -101,16 +110,7 @@ class Graph:
         """Apply a permutation: new vertex ``k`` is old vertex ``perm[k]``."""
         if sorted(perm) != list(range(self.n)):
             raise ValueError("perm must be a permutation of 0..n-1")
-        pos = [0] * self.n
-        for k, v in enumerate(perm):
-            pos[v] = k
-        rows = []
-        for v in perm:
-            row = 0
-            for u in bits(self.adj[v]):
-                row |= 1 << pos[u]
-            rows.append(row)
-        return Graph(self.n, tuple(rows))
+        return Graph(self.n, tuple(_induced_rows(self.adj, perm)))
 
 
 # -- constructors -----------------------------------------------------------

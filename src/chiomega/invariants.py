@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .graphs import Graph, bits, complement_rows
+from .graphs import Graph, _induced_rows, bits, complement_rows
 
 
 class BudgetExceeded(Exception):
@@ -287,10 +287,7 @@ def chromatic_number(g: Graph, node_budget: Optional[int] = None) -> ExactInvari
     pos = [0] * n
     for p, v in enumerate(order):
         pos[v] = p
-    radj = [0] * n
-    for p, v in enumerate(order):
-        for u in bits(adj[v]):
-            radj[p] |= 1 << pos[u]
+    radj = _induced_rows(adj, order)
     planes = (best_k - 1).bit_length()
     up = range(planes)
     down = range(planes - 1, -1, -1)

@@ -125,7 +125,9 @@ class BoundsTable:
                     f"contradictory records for R{key}: [{old.lower}, {old.upper}] "
                     f"vs [{rec.lower}, {rec.upper}]"
                 )
-            source = old.source if rec.source in ("", old.source) else f"{old.source} + {rec.source}"
+            # The distinct non-empty " + " fragments of both, in first-seen order.
+            parts = f"{old.source} + {rec.source}".split(" + ")
+            source = " + ".join(dict.fromkeys(p for p in parts if p))
             rec = RamseyBoundRecord(rec.s, rec.t, lower, upper, source)
         self._by_pair[key] = rec
 

@@ -83,6 +83,19 @@ def test_table_add_merges_and_detects_contradiction():
         table.add(RamseyBoundRecord(4, 6, 46, 60, "c"))  # lower above merged upper
 
 
+def test_table_add_joins_distinct_sources_in_first_seen_order():
+    table = BoundsTable([RamseyBoundRecord(3, 5, 14, 14, "")])
+    table.add(RamseyBoundRecord(3, 5, 14, 14, "paley"))
+    assert table.get(3, 5).source == "paley"
+    table.add(RamseyBoundRecord(3, 5, 14, 14, ""))
+    assert table.get(3, 5).source == "paley"
+    table = BoundsTable([RamseyBoundRecord(4, 6, 30, 50, "a")])
+    table.add(RamseyBoundRecord(4, 6, 36, 45, "a + b"))
+    table.add(RamseyBoundRecord(4, 6, 36, 45, "b"))
+    table.add(RamseyBoundRecord(4, 6, 36, 45, "c + a"))
+    assert table.get(4, 6).source == "a + b + c"
+
+
 def test_table_get_is_symmetric():
     table = BoundsTable()
     table.add(RamseyBoundRecord(3, 5, 14, 14, "x"))
