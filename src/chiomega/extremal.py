@@ -319,6 +319,21 @@ def _child_bounds(mask: int, classes: tuple[int, ...], clique: int) -> tuple[int
     return up, clique.bit_count() + (mask & clique == clique)
 
 
+def _cannot_win(up: int, lo: int, edges: int, bar: Optional[tuple[int, int, int]]) -> bool:
+    """Whether every graph with chi/omega <= up/lo and ``edges`` edges loses
+    under ``_prefer`` to an incumbent whose (chi, omega, edges) is ``bar``.
+
+    The first two keys of ``_prefer`` decide it: a lower ratio bound, or an
+    equal one with more edges. Equal edges are left to the graph6 tie-break.
+    Nothing loses when there is no incumbent (None).
+    """
+    if bar is None:
+        return False
+    chi, omega, bar_edges = bar
+    d = up * omega - chi * lo
+    return d < 0 or (d == 0 and edges > bar_edges)
+
+
 _ROOT_SIZE = 4
 
 
@@ -329,13 +344,14 @@ def max_ratio_exact(n: int, node_budget: Optional[int] = None, workers: int = 1)
     ratio under the deterministic tie-break (fewer edges, then graph6 order).
     Each graph on n - 1 vertices is solved once, and ``_child_bounds`` bounds
     the ratio of each of its children from the new vertex's neighbourhood
-    alone: a child whose bound is below the incumbent is never built. Exhaustive
-    mode covers 1 <= n <= 9; n = 9 (274,668 classes) takes 3,305,498 extension
-    tests, about 16 s on a 2-core machine. Larger n are refused — use
-    ``max_ratio_search`` there. A budget counts extension tests in depth-first
-    order, skipped ones included; a record it cuts short is not exhaustive.
-    ``workers`` is validated but has no effect: the search runs in the
-    calling thread.
+    alone: a child that cannot beat the incumbent on ratio, then on fewer
+    edges, is never built, and a parent none of whose children can is passed
+    over whole. Exhaustive mode covers 1 <= n <= 9; n = 9 (274,668 classes)
+    takes 3,305,498 extension tests, about 5 s on a 2-core machine. Larger n
+    are refused — use ``max_ratio_search`` there. A budget counts extension
+    tests in depth-first order, skipped ones included; a record it cuts short
+    is not exhaustive. ``workers`` is validated but has no effect: the search
+    runs in the calling thread.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -351,6 +367,7 @@ def max_ratio_exact(n: int, node_budget: Optional[int] = None, workers: int = 1)
     every = _all_masks(counter)
     best: Optional[tuple[Ratio, Graph]] = None
     part: Optional[tuple[Ratio, Graph]] = None
+    bar: Optional[tuple[int, int, int]] = None  # part's (chi, omega, edges)
     complete = True
     try:
         for adj in _canonical_descendants((0,), n - 1, every):
@@ -360,28 +377,36 @@ def max_ratio_exact(n: int, node_budget: Optional[int] = None, workers: int = 1)
                 # item 2 (one incumbent) deletes the fold after the re-baseline.
                 if part is not None and _prefer(part, best):
                     best = part
-                part = None
+                part = bar = None
             if len(adj) < n - 1:
                 continue
             classes, clique = _solve_parent(adj)
+            edges = sum(row.bit_count() for row in adj) // 2
+            # A child has at most one colour more than the parent, at least its
+            # clique and at least its edges: when that cannot win, no child
+            # can, and all the parent's masks are counted in one step.
+            if _cannot_win(len(classes) + 1, clique.bit_count(), edges, bar):
+                counter.ticks(1 << (n - 1))
+                continue
             for mask in every(adj):
-                # A child whose bounds cannot beat or tie the subtree's
+                # A child whose bounds cannot win against the subtree's
                 # incumbent is never built; the mask is still counted.
                 up, lo = _child_bounds(mask, classes, clique)
-                if part is not None and up * part[0].den < part[0].num * lo:
+                child_edges = edges + mask.bit_count()
+                if _cannot_win(up, lo, child_edges, bar):
                     continue
                 child = _child(adj, mask)
                 if child is None:
                     continue
                 g = Graph(n, child)
                 omega = clique_number(g).value
-                # Skip the chromatic solve when even the bound on chi cannot
-                # beat or tie the subtree's incumbent.
-                if part is not None and up * part[0].den < part[0].num * omega:
+                # Skip the chromatic solve when even the bound on chi cannot win.
+                if _cannot_win(up, omega, child_edges, bar):
                     continue
                 cand = (Ratio(chromatic_number(g).value, omega), g)
                 if _prefer(cand, part):
                     part = cand
+                    bar = (cand[0].num, omega, child_edges)
     except BudgetExceeded:
         complete = False
     if part is not None and _prefer(part, best):

@@ -44,6 +44,14 @@ class _Counter:
             raise BudgetExceeded
         self.count += 1
 
+    def ticks(self, k: int) -> None:
+        """``k`` calls of ``tick`` in one step: the count stops at ``limit``
+        and raises there, exactly where the k-th or an earlier tick would."""
+        if self.limit is not None and self.count + k > self.limit:
+            self.count = self.limit
+            raise BudgetExceeded
+        self.count += k
+
 
 @dataclass(frozen=True)
 class ColoringCertificate:
@@ -264,7 +272,14 @@ def chromatic_number(g: Graph, node_budget: Optional[int] = None) -> ExactInvari
     adj = g.adj
     full = g.full_mask()
     omega, clique_mask = _max_clique(adj, full)
-    alpha, _ = _max_clique(complement_rows(adj), full)
+    # An isolated vertex is in every maximum independent set, so alpha is their
+    # number plus the independence number of the rest; the clique search in the
+    # complement then skips them, where padding makes it slowest.
+    core = 0
+    for v, row in enumerate(adj):
+        if row:
+            core |= 1 << v
+    alpha = n - core.bit_count() + _max_clique(complement_rows(adj), core)[0]
     # Two standard lower bounds: the clique bound and the independence-number
     # bound ceil(n / alpha); the search may stop as soon as either is met.
     lower = max(omega, -(-n // alpha))

@@ -14,6 +14,7 @@ from chiomega.extremal import (
     RatioRecord,
     SearchMeta,
     _canonical_descendants,
+    _cannot_win,
     _child_bounds,
     _construction_portfolio,
     _extend,
@@ -196,6 +197,42 @@ def test_child_bounds_hold_for_every_child_of_small_parents():
     assert children == 11290
 
 
+def test_cannot_win_never_skips_a_child_that_prefer_would_take():
+    # Every child of every canonical parent on up to 6 vertices against
+    # incumbents of its order: the record, and the first canonical graph of
+    # each (ratio, edges) key, so ratio ties come with fewer, equal and more
+    # edges. Wherever the skip fires (per parent, per mask or after omega),
+    # _prefer with the child's true ratio must refuse the child.
+    skips = 0
+    for k in range(1, 7):
+        incumbents = {}
+        for g in canonical_graphs(k + 1):
+            key = (Ratio(chromatic_number(g).value, clique_number(g).value), g.num_edges())
+            incumbents.setdefault(key, g)
+        rec = max_ratio_exact(k + 1)
+        bests = [(rec.value, rec.witness)] + [(r, g) for (r, _), g in incumbents.items()]
+        bars = [(r.num, r.den, g.num_edges()) for r, g in bests]
+        for parent in canonical_graphs(k):
+            classes, clique = _solve_parent(parent.adj)
+            edges = parent.num_edges()
+            for mask in range(1 << k):
+                child = Graph(k + 1, _extend(parent.adj, mask))
+                omega = clique_number(child).value
+                cand = (Ratio(chromatic_number(child).value, omega), child)
+                up, lo = _child_bounds(mask, classes, clique)
+                child_edges = edges + mask.bit_count()
+                assert child_edges == child.num_edges()
+                for best, bar in zip(bests, bars):
+                    if (_cannot_win(len(classes) + 1, clique.bit_count(), edges, bar)
+                            or _cannot_win(up, lo, child_edges, bar)
+                            or _cannot_win(up, omega, child_edges, bar)):
+                        assert not _prefer(cand, best), (parent.adj, mask, bar)
+                        skips += 1
+    assert skips > 0
+    # No incumbent skips nothing.
+    assert not _cannot_win(1, 9, 99, None)
+
+
 def test_max_ratio_exact_equals_unbounded_maximum():
     # The plain maximum under the tie-break, every graph scored in full: no
     # bound, no skip and no fold.
@@ -281,6 +318,14 @@ def test_max_ratio_exact_budget_fold_is_pinned():
             lines.append(f"{budget} {rec.value} {to_graph6(rec.witness)} "
                          f"{rec.exhaustive} {rec.meta.nodes}")
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest, n
+
+
+def test_max_ratio_exact_recomputes_packaged_f9():
+    # The packaged f(9) record, recomputed in full.
+    rec = max_ratio_exact(9)
+    shipped = next(r for r in packaged_ratio_table() if r.n == 9)
+    assert rec.to_json_obj() == shipped.to_json_obj()
+    assert rec.meta.nodes == 3305498
 
 
 def test_max_ratio_exact_worker_independence():

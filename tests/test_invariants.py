@@ -262,6 +262,32 @@ def test_counter_refuses_the_node_past_its_limit():
         _Counter(-1)
 
 
+def test_counter_ticks_is_k_ticks():
+    # From each start, k ticks in one step leave the same count and raise
+    # exactly when k single ticks would, for limits below, at and above
+    # start + k, and for no limit.
+    for start in (0, 3):
+        for k in (0, 1, 5):
+            for limit in (*range(start, start + k + 3), None):
+                one, many = _Counter(limit), _Counter(limit)
+                for _ in range(start):
+                    one.tick()
+                    many.tick()
+                raised = False
+                try:
+                    for _ in range(k):
+                        one.tick()
+                except BudgetExceeded:
+                    raised = True
+                try:
+                    many.ticks(k)
+                except BudgetExceeded:
+                    assert raised, (start, k, limit)
+                else:
+                    assert not raised, (start, k, limit)
+                assert many.count == one.count, (start, k, limit)
+
+
 def test_extreme_graphs():
     assert chromatic_number(complete_graph(8)).value == 8
     assert clique_number(empty_graph(8)).value == 1
