@@ -27,8 +27,8 @@ from .graphs import (
     paley_graph,
     to_graph6,
 )
-from .invariants import (BudgetExceeded, _Counter, chromatic_number, clique_number,
-                          independence_number)
+from .invariants import (BudgetExceeded, _Counter, _dsatur_greedy, _max_clique,
+                          chromatic_number, clique_number, independence_number)
 
 __all__ = [
     "Ratio",
@@ -230,9 +230,9 @@ def _all_masks(counter: _Counter) -> MaskSource:
     return masks
 
 
-def _child(adj: tuple[int, ...], mask: int) -> Optional[tuple[int, ...]]:
+def _candidate(adj: tuple[int, ...], mask: int) -> Optional[tuple[int, ...]]:
     """The child of ``adj`` whose new vertex is adjacent to ``mask``, or None
-    when that child is not canonically labeled."""
+    when swapping its last two vertices already gives a smaller string."""
     # Swapping the last two vertices leaves the earlier columns alone and puts
     # the mask below the parent's last vertex in place of that vertex's row.
     # Where the two first differ, a 1 in the row means the swap gives a smaller
@@ -243,8 +243,14 @@ def _child(adj: tuple[int, ...], mask: int) -> Optional[tuple[int, ...]]:
     d = mask ^ col
     if col & d & -d:
         return None
-    child = _extend(adj, mask)
-    return child if _is_canonical(child) else None
+    return _extend(adj, mask)
+
+
+def _child(adj: tuple[int, ...], mask: int) -> Optional[tuple[int, ...]]:
+    """The child of ``adj`` whose new vertex is adjacent to ``mask``, or None
+    when that child is not canonically labeled."""
+    child = _candidate(adj, mask)
+    return child if child is not None and _is_canonical(child) else None
 
 
 def _canonical_descendants(adj: tuple[int, ...], n: int,
@@ -301,6 +307,17 @@ def _solve_parent(adj: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     return tuple(classes), clique_number(g).witness
 
 
+def _parent_bounds(adj: tuple[int, ...]) -> tuple[int, int]:
+    """(up, lo) with chi(child) <= up and omega(child) >= lo for every child of
+    a graph: one colour more than a greedy colouring, and a maximum clique.
+
+    Cheaper than ``_solve_parent``, and never tighter than its bound, because
+    chi is at most the greedy count.
+    """
+    n = len(adj)
+    return max(_dsatur_greedy(adj, n)) + 1, _max_clique(adj, (1 << n) - 1)[0]
+
+
 def _child_bounds(mask: int, classes: tuple[int, ...], clique: int) -> tuple[int, int]:
     """(up, lo) with chi(child) <= up and omega(child) >= lo, for the child of a
     parent with these colour classes and maximum clique whose new vertex is
@@ -342,16 +359,19 @@ def max_ratio_exact(n: int, node_budget: Optional[int] = None, workers: int = 1)
 
     Enumerates isomorphism classes by canonical extension and keeps the best
     ratio under the deterministic tie-break (fewer edges, then graph6 order).
-    Each graph on n - 1 vertices is solved once, and ``_child_bounds`` bounds
-    the ratio of each of its children from the new vertex's neighbourhood
-    alone: a child that cannot beat the incumbent on ratio, then on fewer
-    edges, is never built, and a parent none of whose children can is passed
-    over whole. Exhaustive mode covers 1 <= n <= 9; n = 9 (274,668 classes)
-    takes 3,305,498 extension tests, about 5 s on a 2-core machine. Larger n
-    are refused — use ``max_ratio_search`` there. A budget counts extension
-    tests in depth-first order, skipped ones included; a record it cuts short
-    is not exhaustive. ``workers`` is validated but has no effect: the search
-    runs in the calling thread.
+    A parent none of whose children can beat the incumbent on ratio, then on
+    fewer edges, is passed over whole: first on a greedy colouring, then on
+    its exact chi. A parent that survives both is solved once, and each
+    neighbourhood of the new vertex then goes from cheap steps to expensive
+    ones: the ``_child_bounds`` skip, the check on the last two columns, the
+    child's clique number and the skip it allows, chi, the tie-break against
+    the incumbent, and last the canonicity test, which only a child that would
+    become the incumbent takes. Exhaustive mode covers 1 <= n <= 9; n = 9
+    (274,668 classes) takes 3,305,498 extension tests, about 4 s on a 2-core
+    machine. Larger n are refused — use ``max_ratio_search`` there. A budget
+    counts extension tests in depth-first order, skipped ones included; a
+    record it cuts short is not exhaustive. ``workers`` is validated but has
+    no effect: the search runs in the calling thread.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -380,12 +400,18 @@ def max_ratio_exact(n: int, node_budget: Optional[int] = None, workers: int = 1)
                 part = bar = None
             if len(adj) < n - 1:
                 continue
-            classes, clique = _solve_parent(adj)
             edges = sum(row.bit_count() for row in adj) // 2
             # A child has at most one colour more than the parent, at least its
             # clique and at least its edges: when that cannot win, no child
-            # can, and all the parent's masks are counted in one step.
-            if _cannot_win(len(classes) + 1, clique.bit_count(), edges, bar):
+            # can, and all the parent's masks are counted in one step. The
+            # greedy bound spares the exact solve; every parent it skips, the
+            # exact bound would skip too.
+            up, lo = _parent_bounds(adj)
+            skip = _cannot_win(up, lo, edges, bar)
+            if not skip:
+                classes, clique = _solve_parent(adj)
+                skip = _cannot_win(len(classes) + 1, lo, edges, bar)
+            if skip:
                 counter.ticks(1 << (n - 1))
                 continue
             for mask in every(adj):
@@ -395,7 +421,7 @@ def max_ratio_exact(n: int, node_budget: Optional[int] = None, workers: int = 1)
                 child_edges = edges + mask.bit_count()
                 if _cannot_win(up, lo, child_edges, bar):
                     continue
-                child = _child(adj, mask)
+                child = _candidate(adj, mask)
                 if child is None:
                     continue
                 g = Graph(n, child)
@@ -404,7 +430,10 @@ def max_ratio_exact(n: int, node_budget: Optional[int] = None, workers: int = 1)
                 if _cannot_win(up, omega, child_edges, bar):
                     continue
                 cand = (Ratio(chromatic_number(g).value, omega), g)
-                if _prefer(cand, part):
+                # Only a child that would become the incumbent is tested for
+                # canonicity. One that is not canonical is dropped, so the
+                # incumbents are those of testing every child before scoring it.
+                if _prefer(cand, part) and _is_canonical(child):
                     part = cand
                     bar = (cand[0].num, omega, child_edges)
     except BudgetExceeded:

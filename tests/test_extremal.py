@@ -19,6 +19,7 @@ from chiomega.extremal import (
     _construction_portfolio,
     _extend,
     _is_canonical,
+    _parent_bounds,
     _prefer,
     _solve_parent,
     canonical_graphs,
@@ -181,18 +182,22 @@ def test_max_ratio_exact_small_values():
 
 def test_child_bounds_hold_for_every_child_of_small_parents():
     # Every canonical parent on up to 6 vertices, every neighbourhood of a new
-    # vertex: chi(parent) <= chi(child) <= up and omega(child) >= lo.
+    # vertex: chi(parent) <= chi(child) <= up and omega(child) >= lo, for the
+    # child's own bounds and for the parent's greedy ones.
     children = 0
     for k in range(1, 7):
         for parent in canonical_graphs(k):
             classes, clique = _solve_parent(parent.adj)
             assert len(classes) == chromatic_number(parent).value
             assert clique.bit_count() == clique_number(parent).value
+            greedy_up, greedy_lo = _parent_bounds(parent.adj)
+            assert greedy_up >= len(classes) + 1 and greedy_lo == clique.bit_count()
             for mask in range(1 << k):
                 child = Graph(k + 1, _extend(parent.adj, mask))
-                up, lo = _child_bounds(mask, classes, clique)
-                assert len(classes) <= chromatic_number(child).value <= up, (parent.adj, mask)
-                assert clique_number(child).value >= lo, (parent.adj, mask)
+                chi, omega = chromatic_number(child).value, clique_number(child).value
+                for up, lo in (_child_bounds(mask, classes, clique), (greedy_up, greedy_lo)):
+                    assert len(classes) <= chi <= up, (parent.adj, mask)
+                    assert omega >= lo, (parent.adj, mask)
                 children += 1
     assert children == 11290
 
@@ -201,8 +206,9 @@ def test_cannot_win_never_skips_a_child_that_prefer_would_take():
     # Every child of every canonical parent on up to 6 vertices against
     # incumbents of its order: the record, and the first canonical graph of
     # each (ratio, edges) key, so ratio ties come with fewer, equal and more
-    # edges. Wherever the skip fires (per parent, per mask or after omega),
-    # _prefer with the child's true ratio must refuse the child.
+    # edges. Wherever the skip fires (per parent on a greedy colouring or on
+    # the exact one, per mask or after omega), _prefer with the child's true
+    # ratio must refuse the child.
     skips = 0
     for k in range(1, 7):
         incumbents = {}
@@ -214,6 +220,7 @@ def test_cannot_win_never_skips_a_child_that_prefer_would_take():
         bars = [(r.num, r.den, g.num_edges()) for r, g in bests]
         for parent in canonical_graphs(k):
             classes, clique = _solve_parent(parent.adj)
+            greedy_up, greedy_lo = _parent_bounds(parent.adj)
             edges = parent.num_edges()
             for mask in range(1 << k):
                 child = Graph(k + 1, _extend(parent.adj, mask))
@@ -223,7 +230,8 @@ def test_cannot_win_never_skips_a_child_that_prefer_would_take():
                 child_edges = edges + mask.bit_count()
                 assert child_edges == child.num_edges()
                 for best, bar in zip(bests, bars):
-                    if (_cannot_win(len(classes) + 1, clique.bit_count(), edges, bar)
+                    if (_cannot_win(greedy_up, greedy_lo, edges, bar)
+                            or _cannot_win(len(classes) + 1, clique.bit_count(), edges, bar)
                             or _cannot_win(up, lo, child_edges, bar)
                             or _cannot_win(up, omega, child_edges, bar)):
                         assert not _prefer(cand, best), (parent.adj, mask, bar)
@@ -287,6 +295,9 @@ def test_max_ratio_exact_budget():
         rec = max_ratio_exact(7, node_budget=budget)
         got = (str(rec.value), to_graph6(rec.witness), rec.meta.nodes, rec.exhaustive)
         assert got == (value, witness, nodes, exhaustive), budget
+        # The last order tests canonicity only for a would-be incumbent; a
+        # budgeted record is canonically labelled all the same.
+        assert _is_canonical(rec.witness.adj), budget
 
 
 # SHA-256 of one line per budget, "budget value witness exhaustive nodes" or
@@ -315,6 +326,7 @@ def test_max_ratio_exact_budget_fold_is_pinned():
             except BudgetExceeded:
                 lines.append(f"{budget} over")
                 continue
+            assert _is_canonical(rec.witness.adj), (n, budget)
             lines.append(f"{budget} {rec.value} {to_graph6(rec.witness)} "
                          f"{rec.exhaustive} {rec.meta.nodes}")
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest, n
