@@ -163,44 +163,190 @@ class RatioWitnessReport:
 # with a 1 are larger and drop out. This is the lexicographic comparison of
 # every free vertex's column at once, so it accepts exactly the labelings that
 # the vertex-by-vertex comparison does; no column is ever built.
+#
+# Positions that are twins in the identity's own prefix graph G[0..w-1] (equal
+# neighbourhoods apart from each other) form a cell; twinship there is an
+# equivalence whose classes are all false twins or all true twins. Permuting a
+# cell's positions is an automorphism of that prefix, so the string up to
+# column w does not depend on which of the cell's vertices sits where, and the
+# search keeps one vertex set per cell, not one vertex per position. The least
+# column a free vertex can then get puts its non-neighbours in each cell first:
+# at the i-th of a cell's k positions, holding the set V, it has a 1 exactly
+# when it sees at least k - i members of V. Those are the cell's rows, and the
+# tie loop above, run on them, tells exactly whether some arrangement within
+# the cells beats the identity or ties it. A tied vertex y splits each cell's
+# set into its non-neighbours and its neighbours, which fill the cell's first
+# and last positions; position w joins the part it is a twin of, and y is
+# placed only when it is larger than every vertex already there, so that each
+# set is built once, not once per order of its members. That rule and the
+# skip of a vertex's twins in G agree: a relabeling of G that sends the
+# vertices placed from each of its twin classes to the class's smallest ones,
+# applied to a tie, gives a tie that the search reaches, because two twins of
+# G land in one cell when the later of them is placed and so go in ascending
+# order. A tied vertex that sees every neighbour of the first one tried and
+# more is skipped too: swapping the two gives a smaller string, so no labeling
+# with the least string places it there, and reaching one of those is all the
+# search needs when the identity is beaten. The cells at each depth depend
+# only on the parent's rows, so ``_plan`` works them out once per parent.
 
 
-def _is_canonical(adj: tuple[int, ...]) -> bool:
-    """Whether the labeled graph's bitstring is minimal over all relabelings."""
+def _twins(adj: tuple[int, ...], p: int, w: int) -> bool:
+    """Whether positions p < w are twins in the prefix graph G[0..w]."""
+    return not (adj[p] ^ adj[w]) & ((2 << w) - 1) & ~(1 << p | 1 << w)
+
+
+def _plan(adj: tuple[int, ...], base: Optional[tuple] = None) -> tuple:
+    """The cell steps of the canonicity test of ``adj``'s children, which
+    depend only on ``adj``: (steps, cells, last). ``base``, the plan of
+    ``adj`` less its last vertex, saves redoing its steps.
+
+    ``steps[w]`` is (join, updates) for placing position w. ``join`` is
+    (source, side, leader, positions, whole) when w is a twin of part of a
+    cell, the new cell's set being the source cell's set cut by the placed
+    vertex's neighbourhood (side 1) or its complement (side 0), plus that
+    vertex; ``whole`` says that the part is all of the source cell. It is None
+    when w starts a cell of its own. ``updates`` lists the other parts of the
+    cells that w's column splits, in the same form. ``cells`` are the twin
+    classes of ``adj``, positions ascending. ``last`` holds the position masks
+    of those with two or more positions, or is None when ``adj`` is not
+    canonical because one of its own columns is not sorted within a cell.
+    """
+    steps, cells, last = base or ((), (), ())
+    for w in range(len(steps), len(adj)):
+        if last is None:
+            break
+        col = adj[w]
+        parts = []
+        updates = []
+        join = None
+        for cell in cells:
+            lo = tuple(p for p in cell if not col >> p & 1)
+            hi = tuple(p for p in cell if col >> p & 1)
+            if lo and hi and lo[-1] > hi[0]:
+                last = None  # a permutation of the cell beats the column
+                break
+            for side, part in ((0, lo), (1, hi)):
+                if not part:
+                    continue
+                if join is None and _twins(adj, part[0], w):
+                    part += (w,)
+                    join = (cell[0], side, part[0], part, not (lo and hi))
+                elif lo and hi:
+                    updates.append((cell[0], side, part[0], part))
+                parts.append(part)
+        else:
+            if join is None:
+                parts.append((w,))
+            steps += ((join, tuple(updates)),)
+            cells = tuple(parts)
+            last = tuple(sum(1 << p for p in cell) for cell in cells if len(cell) > 1)
+    return steps, cells, last
+
+
+def _cell_rows(adj: tuple[int, ...], cell: int, k: int) -> list[int]:
+    """Rows of a cell of k positions holding the vertex set ``cell``, first
+    position first: the i-th is the set of vertices adjacent to at least k - i
+    of its members."""
+    ge = [-1] + [0] * k  # ge[j]: vertices adjacent to at least j members seen
+    seen = 0
+    while cell:
+        bit = cell & -cell
+        cell ^= bit
+        row = adj[bit.bit_length() - 1]
+        seen += 1
+        for j in range(seen, 0, -1):
+            ge[j] |= ge[j - 1] & row
+    return ge[k:0:-1]
+
+
+def _is_canonical(adj: tuple[int, ...], plan: Optional[tuple] = None) -> bool:
+    """Whether the labeled graph's bitstring is minimal over all relabelings.
+
+    ``plan`` is ``_plan`` of the graph less its last vertex, built here when
+    not given.
+    """
     n = len(adj)
-    rows = [0] * n  # rows[u]: neighbourhood of the vertex placed at position u
+    if plan is None:
+        plan = _plan(adj[:-1])
+    steps, _, last = plan
+    if last is None:
+        return False
+    # The identity's own last column must be sorted within each cell, or
+    # permuting a cell already beats it.
+    col = adj[-1]
+    for cell in last:
+        part = col & cell
+        if part and part != cell & -(part & -part):
+            return False
 
-    def beaten(v: int, free: int) -> bool:
-        # True means some completion of positions v.. beats the identity labeling.
+    def beaten(v: int, free: int, state: list[int]) -> bool:
+        # True means some completion of positions v.. beats the identity
+        # labeling. state[u]: row of position u; state[n + p]: the vertex set
+        # of the cell whose first position is p.
         eq = free
         own = adj[v]
         for u in range(v):
             if own >> u & 1:
-                if eq & ~rows[u]:
+                if eq & ~state[u]:
                     return True  # otherwise every tied vertex has a 1 and stays tied
             else:
-                eq &= ~rows[u]
+                eq &= ~state[u]
                 if not eq:
                     return False
         if v == n - 1:
             return False
+        join, updates = steps[v]
         first = eq & -eq
         first_row = adj[first.bit_length() - 1]
         while eq:
             bit = eq & -eq
             eq ^= bit
             row = adj[bit.bit_length() - 1]
-            # A twin of the first vertex tried here (equal neighbourhoods apart
-            # from each other) leads to the same strings: swapping the two is
-            # an automorphism that fixes the placed prefix.
-            if bit != first and not (row ^ first_row) & ~(bit | first):
+            # A vertex that sees every neighbour of the first vertex tried
+            # here (apart from each other) is skipped. For a twin, swapping
+            # the two is an automorphism that fixes the placed prefix; for a
+            # vertex with more neighbours, the swap turns the first of its
+            # extra edges into a 0 in the string, so the least string never
+            # places it here.
+            if bit != first and not first_row & ~row & ~bit:
                 continue
-            rows[v] = row
-            if beaten(v + 1, free ^ bit):
+            if join is None:
+                nxt = state[:]
+                nxt[v] = row
+                nxt[n + v] = bit
+            else:
+                src, side, lead, pos, whole = join
+                cell = state[n + src] & row if side else state[n + src] & ~row
+                if cell > bit:
+                    continue  # the same set comes with its largest vertex last
+                nxt = state[:]
+                cell |= bit
+                nxt[n + lead] = cell
+                if whole:
+                    # The cell was not split, so its rows are those of the
+                    # set without the new vertex: add it to each threshold.
+                    prev = 0
+                    for p in pos[:-1]:
+                        r = state[p]
+                        nxt[p] = prev | r & row
+                        prev = r
+                    nxt[v] = prev | row
+                else:
+                    for p, r in zip(pos, _cell_rows(adj, cell, len(pos))):
+                        nxt[p] = r
+            for src, side, lead, pos in updates:
+                cell = state[n + src] & row if side else state[n + src] & ~row
+                nxt[n + lead] = cell
+                if len(pos) == 1:
+                    nxt[lead] = adj[cell.bit_length() - 1]
+                else:
+                    for p, r in zip(pos, _cell_rows(adj, cell, len(pos))):
+                        nxt[p] = r
+            if beaten(v + 1, free ^ bit, nxt):
                 return True
         return False
 
-    canonical = not beaten(0, (1 << n) - 1)
+    canonical = not beaten(0, (1 << n) - 1, [0] * (2 * n))
     # beaten refers to itself through its closure: break that cycle so that
     # each call frees its rows at once, not at the next garbage collection.
     del beaten
@@ -246,15 +392,15 @@ def _candidate(adj: tuple[int, ...], mask: int) -> Optional[tuple[int, ...]]:
     return _extend(adj, mask)
 
 
-def _child(adj: tuple[int, ...], mask: int) -> Optional[tuple[int, ...]]:
+def _child(adj: tuple[int, ...], mask: int, plan: tuple) -> Optional[tuple[int, ...]]:
     """The child of ``adj`` whose new vertex is adjacent to ``mask``, or None
-    when that child is not canonically labeled."""
+    when that child is not canonically labeled; ``plan`` is ``_plan(adj)``."""
     child = _candidate(adj, mask)
-    return child if child is not None and _is_canonical(child) else None
+    return child if child is not None and _is_canonical(child, plan) else None
 
 
-def _canonical_descendants(adj: tuple[int, ...], n: int,
-                           masks: MaskSource) -> Iterator[tuple[int, ...]]:
+def _canonical_descendants(adj: tuple[int, ...], n: int, masks: MaskSource,
+                           base: Optional[tuple] = None) -> Iterator[tuple[int, ...]]:
     """``adj``, then every canonical graph with at most n vertices below it in
     the extension tree, in pre-order.
 
@@ -263,14 +409,16 @@ def _canonical_descendants(adj: tuple[int, ...], n: int,
     keeps only the children of a hereditary class generates that class: every
     canonical graph's parent is an induced subgraph of it, so pruning at the
     parent loses no class. Yields in a fixed order; a caller that wants one
-    order keeps the graphs of that length.
+    order keeps the graphs of that length. ``base`` is the ``_plan`` of
+    ``adj`` less its last vertex, when known.
     """
     yield adj
     if len(adj) < n:
+        plan = _plan(adj, base)
         for mask in masks(adj):
-            child = _child(adj, mask)
+            child = _child(adj, mask, plan)
             if child is not None:
-                yield from _canonical_descendants(child, n, masks)
+                yield from _canonical_descendants(child, n, masks, plan)
 
 
 def canonical_graphs(n: int) -> Iterator[Graph]:
@@ -414,6 +562,7 @@ def max_ratio_exact(n: int, node_budget: Optional[int] = None, workers: int = 1)
             if skip:
                 counter.ticks(1 << (n - 1))
                 continue
+            plan = None
             for mask in every(adj):
                 # A child whose bounds cannot win against the subtree's
                 # incumbent is never built; the mask is still counted.
@@ -433,7 +582,11 @@ def max_ratio_exact(n: int, node_budget: Optional[int] = None, workers: int = 1)
                 # Only a child that would become the incumbent is tested for
                 # canonicity. One that is not canonical is dropped, so the
                 # incumbents are those of testing every child before scoring it.
-                if _prefer(cand, part) and _is_canonical(child):
+                if not _prefer(cand, part):
+                    continue
+                if plan is None:
+                    plan = _plan(adj)
+                if _is_canonical(child, plan):
                     part = cand
                     bar = (cand[0].num, omega, child_edges)
     except BudgetExceeded:

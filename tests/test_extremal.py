@@ -20,6 +20,7 @@ from chiomega.extremal import (
     _extend,
     _is_canonical,
     _parent_bounds,
+    _plan,
     _prefer,
     _solve_parent,
     canonical_graphs,
@@ -135,13 +136,70 @@ def test_is_canonical_agrees_with_brute_force():
         assert _is_canonical(adj) == expected, adj
 
 
+def _relabel(adj: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
+    """The graph whose vertex i is ``adj``'s vertex perm[i]."""
+    n = len(adj)
+    return tuple(sum(1 << j for j in range(n) if adj[perm[i]] >> perm[j] & 1) for i in range(n))
+
+
+def test_plan_cells_are_the_twin_classes_of_each_prefix():
+    # At every depth w of every canonical graph on at most 7 vertices, the
+    # cells partition positions 0..w-1 into the twin classes of G[0..w-1],
+    # each of one kind, and a plan extended by one vertex is the plan built
+    # from scratch.
+    for n in range(1, 8):
+        for g in canonical_graphs(n):
+            plan = _plan(())
+            for w in range(n + 1):
+                assert plan == _plan(g.adj[:w]), (g.adj, w)
+                steps, cells, last = plan
+                assert last is not None and len(steps) == w
+                assert sorted(p for cell in cells for p in cell) == list(range(w))
+                low = (1 << w) - 1
+                cell_of = {p: cell for cell in cells for p in cell}
+                for p, q in itertools.combinations(range(w), 2):
+                    twins = not (g.adj[p] ^ g.adj[q]) & low & ~(1 << p | 1 << q)
+                    assert twins == (cell_of[p] is cell_of[q]), (g.adj, w, p, q)
+                for cell in cells:
+                    kinds = {g.adj[p] >> q & 1 for p, q in itertools.combinations(cell, 2)}
+                    assert len(kinds) <= 1, (g.adj, w, cell)
+                if w < n:
+                    plan = _plan(g.adj[:w + 1], plan)
+
+
+def test_is_canonical_accepts_exactly_the_canonical_relabelling():
+    # Every relabelling of every class on 6 vertices, and of graphs on 7
+    # vertices whose twin classes have three or more members of either kind:
+    # K_{3,4}, K_{2,2,3}, 2K_3 + K_1 and their complements.
+    perms = list(itertools.permutations(range(6)))
+    for g in canonical_graphs(6):
+        for perm in perms:
+            adj = _relabel(g.adj, perm)
+            assert _is_canonical(adj) == (adj == g.adj), (g.adj, perm)
+    parts = [(3, 4), (2, 2, 3)]
+    graphs = []
+    for sizes in parts:
+        part = [i for i, size in enumerate(sizes) for _ in range(size)]
+        graphs.append(tuple(sum(1 << j for j in range(7) if part[i] != part[j])
+                            for i in range(7)))
+    blocks = [0, 0, 0, 1, 1, 1, 2]
+    graphs.append(tuple(sum(1 << j for j in range(7) if j != i and blocks[i] == blocks[j] < 2)
+                        for i in range(7)))
+    graphs += [tuple(~row & 127 & ~(1 << i) for i, row in enumerate(adj)) for adj in graphs]
+    for g in graphs:
+        least = _brute_canonical(g)[1]
+        for perm in itertools.permutations(range(7)):
+            adj = _relabel(g, perm)
+            assert _is_canonical(adj) == (adj == least), (g, perm)
+
+
 def test_last_column_check_rejects_only_non_canonical_graphs(monkeypatch):
     # Each labelled graph is offered as the one child of itself minus its last
     # vertex. A child that never reaches _is_canonical was rejected by the
     # check on its last two columns before it was built.
     tested = []
     monkeypatch.setattr(extremal, "_is_canonical",
-                        lambda adj: tested.append(adj) or _is_canonical(adj))
+                        lambda adj, *rest: tested.append(adj) or _is_canonical(adj, *rest))
     rejected = 0
     for adj, is_least in _labelled_cases():
         k = len(adj) - 1

@@ -359,23 +359,25 @@ def test_ramsey_budget_is_spent_in_search_order():
 
 # (3, t)-graphs on n vertices up to isomorphism, n = 1, 2, ..., counted by
 # the generator; they agree with Radziszowski & Kreher, "On R(3,k) Ramsey
-# graphs" (1988).
+# graphs" (1988). For t = 6 the walk stops at 10 vertices (338,449 mask
+# nodes); there the twin cells of the canonicity test are widest.
 _R3T_CLASS_COUNTS = {
     4: [1, 2, 3, 6, 9, 15, 9, 3],
     5: [1, 2, 3, 7, 13, 32, 71, 179, 290, 313, 105, 12, 1],
+    6: [1, 2, 3, 7, 14, 37, 100, 356, 1407, 6657],
 }
 
 
-def _class_counts(s: int, t: int) -> list[int]:
-    """Classes of (s, t)-graphs per order, counted along one walk of the whole tree."""
-    walk = _canonical_descendants((0,), 64, _ramsey_masks(s, t, _Counter()))
+def _class_counts(s: int, t: int, n: int) -> list[int]:
+    """Classes of (s, t)-graphs per order up to n, counted along one walk of the tree."""
+    walk = _canonical_descendants((0,), n, _ramsey_masks(s, t, _Counter()))
     per_order = collections.Counter(len(adj) for adj in walk)
-    return [per_order[n] for n in range(1, len(per_order) + 1)]
+    return [per_order[k] for k in range(1, len(per_order) + 1)]
 
 
 def test_ramsey_masks_generate_the_st_graphs():
     for t, counts in _R3T_CLASS_COUNTS.items():
-        assert _class_counts(3, t) == counts, t
+        assert _class_counts(3, t, len(counts)) == counts, t
     # The pruned generator yields exactly the (s, t)-graphs among all graphs,
     # with the same labellings in the same order.
     for s, t in ((3, 5), (4, 4)):
