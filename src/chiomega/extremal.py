@@ -444,26 +444,26 @@ def _prefer(cand: tuple[Ratio, Graph], best: Optional[tuple[Ratio, Graph]]) -> b
     return to_graph6(g) < to_graph6(bg)
 
 
-def _solve_parent(adj: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """The colour classes of an optimal colouring and a maximum clique of a
-    graph, as vertex masks: what ``_child_bounds`` reads."""
-    g = Graph(len(adj), adj)
-    cert = chromatic_number(g).witness
+def _solve_parent(adj: tuple[int, ...]) -> tuple[int, ...]:
+    """The colour classes of an optimal colouring of a graph, as vertex masks:
+    what ``_child_bounds`` reads with the clique of ``_parent_bounds``."""
+    cert = chromatic_number(Graph(len(adj), adj)).witness
     classes = [0] * cert.num_colors
     for v, c in enumerate(cert.colors):
         classes[c] |= 1 << v
-    return tuple(classes), clique_number(g).witness
+    return tuple(classes)
 
 
 def _parent_bounds(adj: tuple[int, ...]) -> tuple[int, int]:
-    """(up, lo) with chi(child) <= up and omega(child) >= lo for every child of
-    a graph: one colour more than a greedy colouring, and a maximum clique.
+    """(up, clique) with chi(child) <= up and omega(child) >= clique.bit_count()
+    for every child of a graph: one colour more than a greedy colouring, and
+    the vertex mask of a maximum clique.
 
     Cheaper than ``_solve_parent``, and never tighter than its bound, because
     chi is at most the greedy count.
     """
     n = len(adj)
-    return max(_dsatur_greedy(adj, n)) + 1, _max_clique(adj, (1 << n) - 1)[0]
+    return max(_dsatur_greedy(adj, n)) + 1, _max_clique(adj, (1 << n) - 1)[1]
 
 
 def _child_bounds(mask: int, classes: tuple[int, ...], clique: int) -> tuple[int, int]:
@@ -554,10 +554,11 @@ def max_ratio_exact(n: int, node_budget: Optional[int] = None, workers: int = 1)
             # can, and all the parent's masks are counted in one step. The
             # greedy bound spares the exact solve; every parent it skips, the
             # exact bound would skip too.
-            up, lo = _parent_bounds(adj)
+            up, clique = _parent_bounds(adj)
+            lo = clique.bit_count()
             skip = _cannot_win(up, lo, edges, bar)
             if not skip:
-                classes, clique = _solve_parent(adj)
+                classes = _solve_parent(adj)
                 skip = _cannot_win(len(classes) + 1, lo, edges, bar)
             if skip:
                 counter.ticks(1 << (n - 1))

@@ -168,8 +168,15 @@ def save_bounds_table(table: BoundsTable, path) -> None:
 
 
 def packaged_bounds_table() -> BoundsTable:
-    """The bounds table shipped with the package (1 <= s <= t <= 10)."""
-    return load_packaged("ramsey_bounds.json", load_bounds_table)
+    """The bounds table shipped with the package (1 <= s <= t <= 10).
+
+    The data file holds only the primary facts: exhaustive-search values,
+    published values and intervals, a witness graph, and published lower
+    bounds whose stored upper is the binomial bound. Every other row, and
+    every upper the recurrence tightens, is derived here by
+    ``recurrence_closure``; a table loaded from a user's file is not closed.
+    """
+    return recurrence_closure(load_packaged("ramsey_bounds.json", load_bounds_table))
 
 
 def recurrence_closure(table: BoundsTable) -> BoundsTable:

@@ -81,6 +81,15 @@ def test_ramsey_table_command(tmp_path):
     from chiomega.ramsey import load_bounds_table
 
     assert len(load_bounds_table(out_path).records()) == 55
+    # The shipped file holds only the primary facts; --closure derives the rest.
+    shipped = str(Path(chiomega.__file__).parent / "data" / "ramsey_bounds.json")
+    code, out = run_cli(["ramsey", "table", "--table", shipped])
+    assert code == 0 and _json_lines(out)[-1]["records"] == 18
+    code, out = run_cli(["ramsey", "table", "--table", shipped, "--closure"])
+    assert code == 0 and _json_lines(out)[-1] == {
+        "records": 55,
+        "sha256": "9599dd9cdf6b2427b13355eb931431aebf902cdd934993a4818e73035ddcb140",
+    }
 
 
 def test_env_var_selects_table(tmp_path, monkeypatch):

@@ -245,15 +245,17 @@ def test_child_bounds_hold_for_every_child_of_small_parents():
     children = 0
     for k in range(1, 7):
         for parent in canonical_graphs(k):
-            classes, clique = _solve_parent(parent.adj)
+            classes = _solve_parent(parent.adj)
             assert len(classes) == chromatic_number(parent).value
-            assert clique.bit_count() == clique_number(parent).value
-            greedy_up, greedy_lo = _parent_bounds(parent.adj)
-            assert greedy_up >= len(classes) + 1 and greedy_lo == clique.bit_count()
+            greedy_up, clique = _parent_bounds(parent.adj)
+            size = clique.bit_count()
+            assert parent.induced(clique).num_edges() == size * (size - 1) // 2
+            assert size == clique_number(parent).value
+            assert greedy_up >= len(classes) + 1
             for mask in range(1 << k):
                 child = Graph(k + 1, _extend(parent.adj, mask))
                 chi, omega = chromatic_number(child).value, clique_number(child).value
-                for up, lo in (_child_bounds(mask, classes, clique), (greedy_up, greedy_lo)):
+                for up, lo in (_child_bounds(mask, classes, clique), (greedy_up, size)):
                     assert len(classes) <= chi <= up, (parent.adj, mask)
                     assert omega >= lo, (parent.adj, mask)
                 children += 1
@@ -277,8 +279,9 @@ def test_cannot_win_never_skips_a_child_that_prefer_would_take():
         bests = [(rec.value, rec.witness)] + [(r, g) for (r, _), g in incumbents.items()]
         bars = [(r.num, r.den, g.num_edges()) for r, g in bests]
         for parent in canonical_graphs(k):
-            classes, clique = _solve_parent(parent.adj)
-            greedy_up, greedy_lo = _parent_bounds(parent.adj)
+            classes = _solve_parent(parent.adj)
+            greedy_up, clique = _parent_bounds(parent.adj)
+            greedy_lo = clique.bit_count()
             edges = parent.num_edges()
             for mask in range(1 << k):
                 child = Graph(k + 1, _extend(parent.adj, mask))
@@ -289,7 +292,7 @@ def test_cannot_win_never_skips_a_child_that_prefer_would_take():
                 assert child_edges == child.num_edges()
                 for best, bar in zip(bests, bars):
                     if (_cannot_win(greedy_up, greedy_lo, edges, bar)
-                            or _cannot_win(len(classes) + 1, clique.bit_count(), edges, bar)
+                            or _cannot_win(len(classes) + 1, greedy_lo, edges, bar)
                             or _cannot_win(up, lo, child_edges, bar)
                             or _cannot_win(up, omega, child_edges, bar)):
                         assert not _prefer(cand, best), (parent.adj, mask, bar)

@@ -6,9 +6,11 @@ import json
 import re
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import chiomega
 from chiomega.extremal import _canonical_descendants, canonical_graphs
 from chiomega.graphs import Graph, complete_graph, from_graph6, paley_graph, to_graph6
 from chiomega.invariants import _Counter, clique_number, independence_number
@@ -481,14 +483,31 @@ def test_packaged_table_hash_is_frozen():
 
 def test_shipped_search_records_match_the_search():
     # Every record the shipped table credits to the search is what the
-    # search returns today.
-    searched = [rec for rec in packaged_bounds_table().records()
-                if rec.source.startswith("search:")]
+    # search returns today, and its one witness row is what the witness gives.
+    records = packaged_bounds_table().records()
+    searched = [rec for rec in records if rec.source.startswith("search:")]
     assert [(rec.s, rec.t) for rec in searched] == [(3, 3), (3, 4), (3, 5)]
     for rec in searched:
         assert rec.source == "search: orderly generation of (s,t)-graphs"
         result = ramsey_exact_small(rec.s, rec.t)
         assert (rec.lower, rec.upper) == (result.lower, result.upper), (rec.s, rec.t)
+    (witnessed,) = [rec for rec in records if rec.source.startswith("witness:")]
+    rec = lower_bound_from_graph(paley_graph(17))
+    assert (rec.s, rec.t, rec.lower) == (witnessed.s, witnessed.t, witnessed.lower) == (4, 4, 18)
+
+
+def test_shipped_data_file_holds_only_primary_facts():
+    # packaged_bounds_table() derives every other row and every tightened
+    # upper; the file counts the inputs, 14 of them from the literature.
+    raw = load_bounds_table(Path(chiomega.__file__).parent / "data" / "ramsey_bounds.json")
+    assert len(raw) == 18
+    for rec in raw.records():
+        assert not rec.source.startswith("derived:") and "recurrence" not in rec.source, rec
+    prefixes = collections.Counter(rec.source.split(":")[0] for rec in raw.records())
+    assert prefixes == {"search": 3, "witness": 1, "published": 7, "lower": 7}
+    intervals = [(rec.s, rec.t, rec.lower, rec.upper) for rec in raw.records()
+                 if not rec.exact and rec.upper != erdos_szekeres_bound(rec.s, rec.t)]
+    assert intervals == [(3, 10, 40, 42), (5, 5, 43, 48)]
 
 
 def test_witness_graphs_roundtrip():
