@@ -27,8 +27,9 @@ from .graphs import (
     paley_graph,
     to_graph6,
 )
-from .invariants import (BudgetExceeded, _Counter, _dsatur_greedy, _max_clique,
-                          chromatic_number, clique_number, independence_number)
+from .invariants import (BudgetExceeded, _Counter, _color_sort, _dsatur_greedy,
+                          _max_clique, chromatic_number, clique_number,
+                          independence_number)
 
 __all__ = [
     "Ratio",
@@ -446,7 +447,7 @@ def _prefer(cand: tuple[Ratio, Graph], best: Optional[tuple[Ratio, Graph]]) -> b
 
 def _solve_parent(adj: tuple[int, ...]) -> tuple[int, ...]:
     """The colour classes of an optimal colouring of a graph, as vertex masks:
-    what ``_child_bounds`` reads with the clique of ``_parent_bounds``."""
+    what ``_child_bounds`` reads with a maximum clique of the graph."""
     cert = chromatic_number(Graph(len(adj), adj)).witness
     classes = [0] * cert.num_colors
     for v, c in enumerate(cert.colors):
@@ -454,16 +455,17 @@ def _solve_parent(adj: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(classes)
 
 
-def _parent_bounds(adj: tuple[int, ...]) -> tuple[int, int]:
-    """(up, clique) with chi(child) <= up and omega(child) >= clique.bit_count()
-    for every child of a graph: one colour more than a greedy colouring, and
-    the vertex mask of a maximum clique.
+def _greedy_ups(adj: tuple[int, ...]) -> Iterator[int]:
+    """Upper bounds on chi(child) for every child of a graph, cheapest first:
+    one colour more than a greedy colouring in label order, then than a DSATUR
+    colouring.
 
-    Cheaper than ``_solve_parent``, and never tighter than its bound, because
-    chi is at most the greedy count.
+    Each is cheaper than ``_solve_parent``, and never tighter than its bound,
+    because chi is at most a greedy count.
     """
     n = len(adj)
-    return max(_dsatur_greedy(adj, n)) + 1, _max_clique(adj, (1 << n) - 1)[1]
+    yield _color_sort(adj, (1 << n) - 1)[1][-1] + 1
+    yield max(_dsatur_greedy(adj, n)) + 1
 
 
 def _child_bounds(mask: int, classes: tuple[int, ...], clique: int) -> tuple[int, int]:
@@ -499,27 +501,35 @@ def _cannot_win(up: int, lo: int, edges: int, bar: Optional[tuple[int, int, int]
     return d < 0 or (d == 0 and edges > bar_edges)
 
 
-_ROOT_SIZE = 4
-
-
 def max_ratio_exact(n: int, node_budget: Optional[int] = None, workers: int = 1) -> RatioRecord:
     """The exact maximum of chi/omega over all n-vertex graphs, with witness.
 
     Enumerates isomorphism classes by canonical extension and keeps the best
-    ratio under the deterministic tie-break (fewer edges, then graph6 order).
-    A parent none of whose children can beat the incumbent on ratio, then on
-    fewer edges, is passed over whole: first on a greedy colouring, then on
-    its exact chi. A parent that survives both is solved once, and each
-    neighbourhood of the new vertex then goes from cheap steps to expensive
-    ones: the ``_child_bounds`` skip, the check on the last two columns, the
-    child's clique number and the skip it allows, chi, the tie-break against
-    the incumbent, and last the canonicity test, which only a child that would
-    become the incumbent takes. Exhaustive mode covers 1 <= n <= 9; n = 9
-    (274,668 classes) takes 3,305,498 extension tests, about 4 s on a 2-core
-    machine. Larger n are refused — use ``max_ratio_search`` there. A budget
-    counts extension tests in depth-first order, skipped ones included; a
-    record it cuts short is not exhaustive. ``workers`` is validated but has
-    no effect: the search runs in the calling thread.
+    ratio under the deterministic tie-break (fewer edges, then graph6 order),
+    with one incumbent for the whole walk. A parent none of whose children can
+    beat the incumbent on ratio, then on fewer edges, is passed over whole:
+    first on two greedy colourings, then on its exact chi. A parent that
+    survives them is solved once, and each neighbourhood of the new vertex
+    then goes from cheap steps to expensive ones: the ``_child_bounds`` skip,
+    the check on the last two columns, the child's clique number and the skip
+    it allows, chi and the skip it allows, the tie-break against the
+    incumbent, and last the canonicity test, which only a child that would
+    become the incumbent takes.
+
+    An unbudgeted run starts the bound at a floor: the (chi, omega, edges) of
+    ``max_ratio_search(n)``'s record, certified by exact solves. The walk
+    itself still finds and labels the record, because the floor only prunes
+    graphs that lose to it on ratio or on edges, and ``_prefer`` is a total
+    order: the record and ``nodes`` are those of a walk without the floor. A
+    budgeted run has no floor, so the incumbent it reports at a cut is that of
+    the bare walk.
+
+    Exhaustive mode covers 1 <= n <= 9; n = 9 (274,668 classes) takes
+    3,305,498 extension tests, about 1.4 s on a shared 2-core machine
+    (CPython 3.11.7). Larger n are refused — use ``max_ratio_search`` there.
+    A budget counts extension tests in depth-first order, skipped ones
+    included; a record it cuts short is not exhaustive. ``workers`` is
+    validated but has no effect: the search runs in the calling thread.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -533,30 +543,25 @@ def max_ratio_exact(n: int, node_budget: Optional[int] = None, workers: int = 1)
         # K1 has no parent to extend and takes no extension test.
         return RatioRecord(1, Ratio(1, 1), Graph(1, (0,)), exhaustive=True)
     every = _all_masks(counter)
-    best: Optional[tuple[Ratio, Graph]] = None
     part: Optional[tuple[Ratio, Graph]] = None
-    bar: Optional[tuple[int, int, int]] = None  # part's (chi, omega, edges)
+    bar: Optional[tuple[int, int, int]] = None  # part's (chi, omega, edges), or the floor's
+    if node_budget is None:
+        floor = max_ratio_search(n)
+        bar = (floor.value.num, floor.value.den, floor.witness.num_edges())
     complete = True
     try:
         for adj in _canonical_descendants((0,), n - 1, every):
-            if len(adj) == _ROOT_SIZE < n:
-                # A subtree starts: fold the last one's incumbent into best. Its
-                # ties are the traced enum benchmark's only to_graph6 calls; ROADMAP
-                # item 2 (one incumbent) deletes the fold after the re-baseline.
-                if part is not None and _prefer(part, best):
-                    best = part
-                part = bar = None
             if len(adj) < n - 1:
                 continue
             edges = sum(row.bit_count() for row in adj) // 2
             # A child has at most one colour more than the parent, at least its
             # clique and at least its edges: when that cannot win, no child
             # can, and all the parent's masks are counted in one step. The
-            # greedy bound spares the exact solve; every parent it skips, the
+            # greedy bounds spare the exact solve; every parent they skip, the
             # exact bound would skip too.
-            up, clique = _parent_bounds(adj)
+            clique = _max_clique(adj, (1 << (n - 1)) - 1)[1]
             lo = clique.bit_count()
-            skip = _cannot_win(up, lo, edges, bar)
+            skip = any(_cannot_win(up, lo, edges, bar) for up in _greedy_ups(adj))
             if not skip:
                 classes = _solve_parent(adj)
                 skip = _cannot_win(len(classes) + 1, lo, edges, bar)
@@ -565,8 +570,8 @@ def max_ratio_exact(n: int, node_budget: Optional[int] = None, workers: int = 1)
                 continue
             plan = None
             for mask in every(adj):
-                # A child whose bounds cannot win against the subtree's
-                # incumbent is never built; the mask is still counted.
+                # A child whose bounds cannot win against the incumbent is
+                # never built; the mask is still counted.
                 up, lo = _child_bounds(mask, classes, clique)
                 child_edges = edges + mask.bit_count()
                 if _cannot_win(up, lo, child_edges, bar):
@@ -579,7 +584,12 @@ def max_ratio_exact(n: int, node_budget: Optional[int] = None, workers: int = 1)
                 # Skip the chromatic solve when even the bound on chi cannot win.
                 if _cannot_win(up, omega, child_edges, bar):
                     continue
-                cand = (Ratio(chromatic_number(g).value, omega), g)
+                chi = chromatic_number(g).value
+                # Against the floor, before any incumbent, _prefer alone would
+                # take a child that loses to it: the exact chi decides first.
+                if _cannot_win(chi, omega, child_edges, bar):
+                    continue
+                cand = (Ratio(chi, omega), g)
                 # Only a child that would become the incumbent is tested for
                 # canonicity. One that is not canonical is dropped, so the
                 # incumbents are those of testing every child before scoring it.
@@ -589,14 +599,14 @@ def max_ratio_exact(n: int, node_budget: Optional[int] = None, workers: int = 1)
                     plan = _plan(adj)
                 if _is_canonical(child, plan):
                     part = cand
-                    bar = (cand[0].num, omega, child_edges)
+                    bar = (chi, omega, child_edges)
     except BudgetExceeded:
         complete = False
-    if part is not None and _prefer(part, best):
-        best = part
-    if best is None:
+    if part is None:
+        if node_budget is None:
+            raise RuntimeError(f"the floor {bar} beat every graph on {n} vertices")
         raise BudgetExceeded("budget too small to score any graph")
-    value, witness = best
+    value, witness = part
     return RatioRecord(n, value, witness, exhaustive=complete, meta=SearchMeta(nodes=counter.count))
 
 
@@ -620,7 +630,8 @@ def _construction_portfolio(n: int) -> list[tuple[str, Graph]]:
         level += 1
         out.append((f"mycielski^{level}(K2)", _padded(tower, n)))
     # No Paley(5): it is cycle5 under the same labelling. The C5 mycielski^1(K2) stays
-    # until the re-baseline: its tie with cycle5 makes the search benchmark's to_graph6 calls.
+    # until the re-baseline: its tie with cycle5 makes the to_graph6 calls of the search
+    # benchmark, and of the enum benchmark through max_ratio_exact's floor.
     for q in (13, 17, 29, 37, 41, 53, 61):
         if q <= n:
             out.append((f"paley{q}", _padded(paley_graph(q), n)))

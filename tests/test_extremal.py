@@ -18,8 +18,8 @@ from chiomega.extremal import (
     _child_bounds,
     _construction_portfolio,
     _extend,
+    _greedy_ups,
     _is_canonical,
-    _parent_bounds,
     _plan,
     _prefer,
     _solve_parent,
@@ -34,7 +34,7 @@ from chiomega.extremal import (
     verify_ratio_table,
 )
 from chiomega.graphs import Graph, cycle_graph, from_graph6, random_graph, to_graph6
-from chiomega.invariants import BudgetExceeded, chromatic_number, clique_number
+from chiomega.invariants import BudgetExceeded, _max_clique, chromatic_number, clique_number
 
 
 def test_ratio_comparisons_are_exact():
@@ -247,15 +247,17 @@ def test_child_bounds_hold_for_every_child_of_small_parents():
         for parent in canonical_graphs(k):
             classes = _solve_parent(parent.adj)
             assert len(classes) == chromatic_number(parent).value
-            greedy_up, clique = _parent_bounds(parent.adj)
+            clique = _max_clique(parent.adj, parent.full_mask())[1]
             size = clique.bit_count()
             assert parent.induced(clique).num_edges() == size * (size - 1) // 2
             assert size == clique_number(parent).value
-            assert greedy_up >= len(classes) + 1
+            greedy_ups = list(_greedy_ups(parent.adj))
+            assert len(greedy_ups) == 2 and min(greedy_ups) >= len(classes) + 1
             for mask in range(1 << k):
                 child = Graph(k + 1, _extend(parent.adj, mask))
                 chi, omega = chromatic_number(child).value, clique_number(child).value
-                for up, lo in (_child_bounds(mask, classes, clique), (greedy_up, size)):
+                bounds = [_child_bounds(mask, classes, clique)] + [(up, size) for up in greedy_ups]
+                for up, lo in bounds:
                     assert len(classes) <= chi <= up, (parent.adj, mask)
                     assert omega >= lo, (parent.adj, mask)
                 children += 1
@@ -267,8 +269,8 @@ def test_cannot_win_never_skips_a_child_that_prefer_would_take():
     # incumbents of its order: the record, and the first canonical graph of
     # each (ratio, edges) key, so ratio ties come with fewer, equal and more
     # edges. Wherever the skip fires (per parent on a greedy colouring or on
-    # the exact one, per mask or after omega), _prefer with the child's true
-    # ratio must refuse the child.
+    # the exact one, per mask, after omega or after chi), _prefer with the
+    # child's true ratio must refuse the child.
     skips = 0
     for k in range(1, 7):
         incumbents = {}
@@ -280,7 +282,8 @@ def test_cannot_win_never_skips_a_child_that_prefer_would_take():
         bars = [(r.num, r.den, g.num_edges()) for r, g in bests]
         for parent in canonical_graphs(k):
             classes = _solve_parent(parent.adj)
-            greedy_up, clique = _parent_bounds(parent.adj)
+            greedy_ups = list(_greedy_ups(parent.adj))
+            clique = _max_clique(parent.adj, parent.full_mask())[1]
             greedy_lo = clique.bit_count()
             edges = parent.num_edges()
             for mask in range(1 << k):
@@ -291,10 +294,11 @@ def test_cannot_win_never_skips_a_child_that_prefer_would_take():
                 child_edges = edges + mask.bit_count()
                 assert child_edges == child.num_edges()
                 for best, bar in zip(bests, bars):
-                    if (_cannot_win(greedy_up, greedy_lo, edges, bar)
+                    if (any(_cannot_win(g, greedy_lo, edges, bar) for g in greedy_ups)
                             or _cannot_win(len(classes) + 1, greedy_lo, edges, bar)
                             or _cannot_win(up, lo, child_edges, bar)
-                            or _cannot_win(up, omega, child_edges, bar)):
+                            or _cannot_win(up, omega, child_edges, bar)
+                            or _cannot_win(cand[0].num, omega, child_edges, bar)):
                         assert not _prefer(cand, best), (parent.adj, mask, bar)
                         skips += 1
     assert skips > 0
@@ -304,7 +308,7 @@ def test_cannot_win_never_skips_a_child_that_prefer_would_take():
 
 def test_max_ratio_exact_equals_unbounded_maximum():
     # The plain maximum under the tie-break, every graph scored in full: no
-    # bound, no skip and no fold.
+    # bound, no skip and no floor.
     for n in range(1, 8):
         best = None
         for g in canonical_graphs(n):
@@ -399,6 +403,45 @@ def test_max_ratio_exact_recomputes_packaged_f9():
     shipped = next(r for r in packaged_ratio_table() if r.n == 9)
     assert rec.to_json_obj() == shipped.to_json_obj()
     assert rec.meta.nodes == 3305498
+
+
+def test_max_ratio_exact_floor_changes_no_record():
+    # A budget that is never reached takes the path without the floor: the
+    # record, its labelling and its extension-test count are the same, and
+    # the floor spares exact chi solves.
+    solves = []
+
+    def counted(g, *args, **kwargs):
+        solves[-1] += 1
+        return chromatic_number(g, *args, **kwargs)
+
+    for n in range(1, 9):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(extremal, "chromatic_number", counted)
+            solves.append(0)
+            floored = max_ratio_exact(n)
+            solves.append(0)
+            bare = max_ratio_exact(n, node_budget=10**9)
+        assert floored.to_json_obj() == bare.to_json_obj(), n
+        assert floored.meta.nodes == bare.meta.nodes, n
+        assert floored.exhaustive and bare.exhaustive, n
+    # (floored, bare) solves for n = 1..8. The floor's own portfolio solves
+    # count too, so at n = 5 it costs more than it saves.
+    pairs = list(zip(solves[::2], solves[1::2]))
+    assert all(a < b for a, b in pairs[5:]), pairs
+
+
+def test_max_ratio_exact_fails_loudly_when_the_floor_beats_every_graph(monkeypatch):
+    # A floor no graph reaches leaves no incumbent: that is a fault, not a
+    # budget that ran out.
+    def too_high(n):
+        return RatioRecord(n, Ratio(n, 1), Graph(n, (0,) * n), exhaustive=False)
+
+    monkeypatch.setattr(extremal, "max_ratio_search", too_high)
+    with pytest.raises(RuntimeError, match="floor"):
+        max_ratio_exact(5)
+    # A budgeted run takes no floor.
+    assert max_ratio_exact(5, node_budget=10**9).value == Ratio(3, 2)
 
 
 def test_max_ratio_exact_worker_independence():
@@ -506,10 +549,11 @@ def test_portfolio_has_no_repeated_or_dominated_graph():
 
 def test_max_ratio_search_agrees_with_exhaustion_and_is_monotone():
     # Up to n = 9 the portfolio reaches the exhaustive maximum that the
-    # package ships; beyond it, padding with an isolated vertex keeps every
-    # witness, so the bound never decreases. Every witness is re-verified
-    # with the unbudgeted solvers.
-    exact = {r.n: r.value for r in packaged_ratio_table()}
+    # package ships, and never beats its record under the tie-break, which
+    # max_ratio_exact's floor needs; beyond it, padding with an isolated
+    # vertex keeps every witness, so the bound never decreases. Every witness
+    # is re-verified with the unbudgeted solvers.
+    exact = {r.n: r for r in packaged_ratio_table()}
     prev = None
     for n in range(1, 33):
         rec = max_ratio_search(n)
@@ -517,7 +561,10 @@ def test_max_ratio_search_agrees_with_exhaustion_and_is_monotone():
         assert chromatic_number(rec.witness).value == rec.value.num, n
         assert clique_number(rec.witness).value == rec.value.den, n
         if n <= 9:
-            assert rec.value == exact[n] == (Ratio(1, 1) if n <= 4 else Ratio(3, 2)), n
+            shipped = exact[n]
+            assert rec.value == shipped.value == (Ratio(1, 1) if n <= 4 else Ratio(3, 2)), n
+            assert shipped.exhaustive, n
+            assert not _prefer((rec.value, rec.witness), (shipped.value, shipped.witness)), n
         else:
             assert rec.value >= prev, n
         prev = rec.value
