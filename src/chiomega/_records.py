@@ -45,6 +45,8 @@ def read_records(path) -> list[tuple[str, object]]:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: malformed JSON at line {exc.lineno}: {exc.msg}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, list):
         raise ValueError(f"{path}: expected a JSON array of records")
     return [(f"{path}: record {i + 1}", obj) for i, obj in enumerate(data)]

@@ -27,9 +27,9 @@ from .graphs import (
     paley_graph,
     to_graph6,
 )
-from .invariants import (BudgetExceeded, _Counter, _color_sort, _dsatur_greedy,
-                          _max_clique, chromatic_number, clique_number,
-                          independence_number)
+from .invariants import (BudgetExceeded, _Counter, _chromatic, _color_sort,
+                          _dsatur_greedy, _max_clique, chromatic_number,
+                          clique_number, independence_number)
 
 __all__ = [
     "Ratio",
@@ -445,27 +445,21 @@ def _prefer(cand: tuple[Ratio, Graph], best: Optional[tuple[Ratio, Graph]]) -> b
     return to_graph6(g) < to_graph6(bg)
 
 
-def _solve_parent(adj: tuple[int, ...]) -> tuple[int, ...]:
-    """The colour classes of an optimal colouring of a graph, as vertex masks:
-    what ``_child_bounds`` reads with a maximum clique of the graph."""
-    cert = chromatic_number(Graph(len(adj), adj)).witness
-    classes = [0] * cert.num_colors
-    for v, c in enumerate(cert.colors):
-        classes[c] |= 1 << v
-    return tuple(classes)
-
-
-def _greedy_ups(adj: tuple[int, ...]) -> Iterator[int]:
-    """Upper bounds on chi(child) for every child of a graph, cheapest first:
-    one colour more than a greedy colouring in label order, then than a DSATUR
-    colouring.
-
-    Each is cheaper than ``_solve_parent``, and never tighter than its bound,
-    because chi is at most a greedy count.
-    """
+def _parent_ups(adj: tuple[int, ...],
+                clique: int) -> Iterator[tuple[int, Optional[tuple[int, ...]]]]:
+    """Upper bounds on chi(child) for every child of a graph with this maximum
+    clique, cheapest first: one colour more than a greedy colouring in label
+    order, than a DSATUR one (chi is at most a greedy count, so neither is
+    tighter than the last), and than an optimal one, with its classes as masks."""
     n = len(adj)
-    yield _color_sort(adj, (1 << n) - 1)[1][-1] + 1
-    yield max(_dsatur_greedy(adj, n)) + 1
+    yield _color_sort(adj, (1 << n) - 1)[1][-1] + 1, None
+    greedy = _dsatur_greedy(adj, n)
+    yield max(greedy) + 1, None
+    chi, colors, _ = _chromatic(adj, clique, greedy, None)
+    classes = [0] * chi
+    for v, c in enumerate(colors):
+        classes[c - 1] |= 1 << v
+    yield chi + 1, tuple(classes)
 
 
 def _child_bounds(mask: int, classes: tuple[int, ...], clique: int) -> tuple[int, int]:
@@ -561,10 +555,9 @@ def max_ratio_exact(n: int, node_budget: Optional[int] = None, workers: int = 1)
             # exact bound would skip too.
             clique = _max_clique(adj, (1 << (n - 1)) - 1)[1]
             lo = clique.bit_count()
-            skip = any(_cannot_win(up, lo, edges, bar) for up in _greedy_ups(adj))
-            if not skip:
-                classes = _solve_parent(adj)
-                skip = _cannot_win(len(classes) + 1, lo, edges, bar)
+            for up, classes in _parent_ups(adj, clique):
+                if skip := _cannot_win(up, lo, edges, bar):
+                    break
             if skip:
                 counter.ticks(1 << (n - 1))
                 continue

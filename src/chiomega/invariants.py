@@ -259,19 +259,13 @@ def _normalize_colors(colors: list[int]) -> ColoringCertificate:
     return ColoringCertificate(colors=tuple(out), num_colors=len(remap))
 
 
-def chromatic_number(g: Graph, node_budget: Optional[int] = None) -> ExactInvariantResult:
-    """Exact chromatic number via DSATUR branch-and-bound.
-
-    Exactness comes either from the clique lower bound matching the upper
-    bound or from exhausting the search below it. With a ``node_budget`` the
-    search may stop early, returning the best coloring found with
-    ``exact=False``. A negative budget is a ValueError.
-    """
-    _check_budget(node_budget)
-    n = g.n
-    adj = g.adj
-    full = g.full_mask()
-    omega, clique_mask = _max_clique(adj, full)
+def _chromatic(adj: tuple[int, ...], clique_mask: int, greedy: list[int],
+               node_budget: Optional[int]) -> tuple[int, list[int], bool]:
+    """``chromatic_number``'s search on rows, from a maximum clique mask and the
+    ``_dsatur_greedy`` coloring: (k, colors, exact), colors 1..k all used, optimal
+    when ``exact``, else the best coloring found before the budget ran out."""
+    n = len(adj)
+    omega = clique_mask.bit_count()
     # An isolated vertex is in every maximum independent set, so alpha is their
     # number plus the independence number of the rest; the clique search in the
     # complement then skips them, where padding makes it slowest.
@@ -284,12 +278,9 @@ def chromatic_number(g: Graph, node_budget: Optional[int] = None) -> ExactInvari
     # bound ceil(n / alpha); the search may stop as soon as either is met.
     lower = max(omega, -(-n // alpha))
 
-    greedy = _dsatur_greedy(adj, n)
-    best_colors = list(greedy)
     best_k = max(greedy)
-
     if best_k == lower:
-        return ExactInvariantResult(value=best_k, witness=_normalize_colors(best_colors), exact=True)
+        return best_k, greedy, True
 
     # The search runs over positions: the vertices relabelled by degree
     # descending, then label ascending, so that among the most saturated
@@ -406,9 +397,23 @@ def chromatic_number(g: Graph, node_budget: Optional[int] = None) -> ExactInvari
     # descend refers to itself through its closure: break that cycle so that
     # the search state is freed at once, not at the next garbage collection.
     del descend
-    if best_pcolors is not None:
-        best_colors = [best_pcolors[p] for p in pos]
-    return ExactInvariantResult(value=best_k, witness=_normalize_colors(best_colors), exact=exact)
+    if best_pcolors is None:
+        return best_k, greedy, exact
+    return best_k, [best_pcolors[p] for p in pos], exact
+
+
+def chromatic_number(g: Graph, node_budget: Optional[int] = None) -> ExactInvariantResult:
+    """Exact chromatic number via DSATUR branch-and-bound.
+
+    Exactness comes either from the clique lower bound matching the upper
+    bound or from exhausting the search below it. With a ``node_budget`` the
+    search may stop early, returning the best coloring found with
+    ``exact=False``. A negative budget is a ValueError.
+    """
+    _check_budget(node_budget)
+    clique_mask = _max_clique(g.adj, g.full_mask())[1]
+    value, colors, exact = _chromatic(g.adj, clique_mask, _dsatur_greedy(g.adj, g.n), node_budget)
+    return ExactInvariantResult(value=value, witness=_normalize_colors(colors), exact=exact)
 
 
 def is_proper_coloring(g: Graph, cert: ColoringCertificate) -> bool:

@@ -238,6 +238,15 @@ def test_input_errors_exit_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1 and out == ""
     assert err == f"chiomega: error: {tampered}: record 5: field 'chi' must be int, got 3.9\n"
+    # A table file that is not ASCII (here a UTF-16 byte-order mark) names the file.
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe[]")
+    for argv in (["ramsey", "table", "--table", str(utf16)], ["f", "verify", "--table", str(utf16)]):
+        code, out = run_cli(argv)
+        err = capsys.readouterr().err
+        assert code == 1 and out == "", argv
+        assert err == (f"chiomega: error: {utf16}: 'ascii' codec can't decode byte 0xff in "
+                       "position 0: ordinal not in range(128)\n"), argv
     # Rate inputs out of range are input errors too, never NaN or a traceback.
     for argv, message in (
         (["constants", "--delta", "100"], "no sign change of the stationarity residual"),

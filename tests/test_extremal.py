@@ -18,11 +18,10 @@ from chiomega.extremal import (
     _child_bounds,
     _construction_portfolio,
     _extend,
-    _greedy_ups,
     _is_canonical,
+    _parent_ups,
     _plan,
     _prefer,
-    _solve_parent,
     canonical_graphs,
     load_ratio_table,
     max_ratio_exact,
@@ -245,14 +244,18 @@ def test_child_bounds_hold_for_every_child_of_small_parents():
     children = 0
     for k in range(1, 7):
         for parent in canonical_graphs(k):
-            classes = _solve_parent(parent.adj)
-            assert len(classes) == chromatic_number(parent).value
             clique = _max_clique(parent.adj, parent.full_mask())[1]
             size = clique.bit_count()
             assert parent.induced(clique).num_edges() == size * (size - 1) // 2
             assert size == clique_number(parent).value
-            greedy_ups = list(_greedy_ups(parent.adj))
-            assert len(greedy_ups) == 2 and min(greedy_ups) >= len(classes) + 1
+            *greedy, (exact_up, classes) = _parent_ups(parent.adj, clique)
+            greedy_ups = [up for up, _ in greedy]
+            # The classes partition the vertices into independent sets, as
+            # many as chi, and the greedy bounds are never tighter.
+            assert len(classes) == chromatic_number(parent).value == exact_up - 1
+            assert sorted(v for c in classes for v in range(k) if c >> v & 1) == list(range(k))
+            assert all(parent.induced(c).num_edges() == 0 for c in classes)
+            assert len(greedy_ups) == 2 and min(greedy_ups) >= exact_up
             for mask in range(1 << k):
                 child = Graph(k + 1, _extend(parent.adj, mask))
                 chi, omega = chromatic_number(child).value, clique_number(child).value
@@ -281,9 +284,9 @@ def test_cannot_win_never_skips_a_child_that_prefer_would_take():
         bests = [(rec.value, rec.witness)] + [(r, g) for (r, _), g in incumbents.items()]
         bars = [(r.num, r.den, g.num_edges()) for r, g in bests]
         for parent in canonical_graphs(k):
-            classes = _solve_parent(parent.adj)
-            greedy_ups = list(_greedy_ups(parent.adj))
             clique = _max_clique(parent.adj, parent.full_mask())[1]
+            *greedy, (exact_up, classes) = _parent_ups(parent.adj, clique)
+            greedy_ups = [up for up, _ in greedy]
             greedy_lo = clique.bit_count()
             edges = parent.num_edges()
             for mask in range(1 << k):
@@ -295,7 +298,7 @@ def test_cannot_win_never_skips_a_child_that_prefer_would_take():
                 assert child_edges == child.num_edges()
                 for best, bar in zip(bests, bars):
                     if (any(_cannot_win(g, greedy_lo, edges, bar) for g in greedy_ups)
-                            or _cannot_win(len(classes) + 1, greedy_lo, edges, bar)
+                            or _cannot_win(exact_up, greedy_lo, edges, bar)
                             or _cannot_win(up, lo, child_edges, bar)
                             or _cannot_win(up, omega, child_edges, bar)
                             or _cannot_win(cand[0].num, omega, child_edges, bar)):

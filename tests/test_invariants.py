@@ -6,14 +6,18 @@ import random
 
 import pytest
 
-from chiomega.extremal import _CHI_BUDGET, max_ratio_exact
+from chiomega.extremal import _CHI_BUDGET, canonical_graphs, max_ratio_exact
 from chiomega.graphs import (complete_graph, cycle_graph, empty_graph, mycielski, paley_graph,
                              random_graph)
 from chiomega.invariants import (
     BudgetExceeded,
     ColoringCertificate,
+    _chromatic,
     _Counter,
+    _dsatur_greedy,
     _exists_clique,
+    _max_clique,
+    _normalize_colors,
     chromatic_number,
     clique_number,
     greedy_erdos_coloring,
@@ -81,14 +85,30 @@ def test_greedy_classes_are_lex_smallest_independent_sets():
         assert not remaining
 
 
+def _assert_search_from_bounds(g, budget, result):
+    # The row-level search, fed the maximum clique and the DSATUR colouring
+    # that a caller holds, gives chromatic_number's value, colouring and flag;
+    # its colours are 1..k, every one used, so a caller can index classes by them.
+    clique = _max_clique(g.adj, g.full_mask())[1]
+    k, colors, exact = _chromatic(g.adj, clique, _dsatur_greedy(g.adj, g.n), budget)
+    assert (k, exact) == (result.value, result.exact)
+    assert sorted(set(colors)) == list(range(1, k + 1))
+    assert _normalize_colors(colors) == result.witness
+
+
 def test_chromatic_number_against_brute_force():
-    for seed in range(20):
-        g = random_graph(3 + seed % 5, (0.2, 0.5, 0.8)[seed % 3], seed=200 + seed)
+    # Random graphs, and every graph on at most 7 vertices (1,252 classes).
+    randoms = [random_graph(3 + seed % 5, (0.2, 0.5, 0.8)[seed % 3], seed=200 + seed)
+               for seed in range(20)]
+    small = [g for n in range(1, 8) for g in canonical_graphs(n)]
+    assert len(small) == 1252
+    for g in randoms + small:
         result = chromatic_number(g)
         assert result.exact
         assert result.value == brute_chi(g)
         assert is_proper_coloring(g, result.witness)
         assert result.witness.num_colors == result.value
+        _assert_search_from_bounds(g, None, result)
 
 
 def _mycielski_k2(level):
@@ -147,6 +167,7 @@ def test_chromatic_budget_ladder(g, chi, nodes):
     values = []
     for budget in (0, 1, nodes // 2, nodes - 1, nodes, nodes + 1, 2 * nodes, None):
         result = chromatic_number(g, node_budget=budget)
+        _assert_search_from_bounds(g, budget, result)
         assert result.exact == (budget is None or budget >= nodes), budget
         assert is_proper_coloring(g, result.witness)
         assert result.witness.num_colors == result.value >= chi
