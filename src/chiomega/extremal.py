@@ -11,6 +11,7 @@ recomputed exactly).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -445,6 +446,14 @@ def _prefer(cand: tuple[Ratio, Graph], best: Optional[tuple[Ratio, Graph]]) -> b
     return to_graph6(g) < to_graph6(bg)
 
 
+def _classes(colors: list[int]) -> tuple[int, ...]:
+    """The colour classes, as vertex masks, of a colouring with colours 1..k."""
+    classes = [0] * max(colors)
+    for v, c in enumerate(colors):
+        classes[c - 1] |= 1 << v
+    return tuple(classes)
+
+
 def _parent_ups(adj: tuple[int, ...],
                 clique: int) -> Iterator[tuple[int, Optional[tuple[int, ...]]]]:
     """Upper bounds on chi(child) for every child of a graph with this maximum
@@ -456,20 +465,18 @@ def _parent_ups(adj: tuple[int, ...],
     greedy = _dsatur_greedy(adj, n)
     yield max(greedy) + 1, None
     chi, colors, _ = _chromatic(adj, clique, greedy, None)
-    classes = [0] * chi
-    for v, c in enumerate(colors):
-        classes[c - 1] |= 1 << v
-    yield chi + 1, tuple(classes)
+    yield chi + 1, _classes(colors)
 
 
 def _child_bounds(mask: int, classes: tuple[int, ...], clique: int) -> tuple[int, int]:
     """(up, lo) with chi(child) <= up and omega(child) >= lo, for the child of a
-    parent with these colour classes and maximum clique whose new vertex is
-    adjacent to ``mask``.
+    parent with these colour classes (of any proper colouring) and maximum
+    clique whose new vertex is adjacent to ``mask``.
 
     The new vertex takes a colour that it sees nowhere, else a new one; it
-    extends the clique if it sees all of it. The parent is an induced subgraph
-    of the child, so chi(child) >= len(classes) as well.
+    extends the clique if it sees all of it. When the colouring is optimal,
+    chi(child) >= len(classes) as well: the parent is an induced subgraph of
+    the child.
     """
     up = len(classes)
     for c in classes:
@@ -500,29 +507,32 @@ def max_ratio_exact(n: int, node_budget: Optional[int] = None, workers: int = 1)
 
     Enumerates isomorphism classes by canonical extension and keeps the best
     ratio under the deterministic tie-break (fewer edges, then graph6 order),
-    with one incumbent for the whole walk. A parent none of whose children can
-    beat the incumbent on ratio, then on fewer edges, is passed over whole:
-    first on two greedy colourings, then on its exact chi. A parent that
-    survives them is solved once, and each neighbourhood of the new vertex
-    then goes from cheap steps to expensive ones: the ``_child_bounds`` skip,
-    the check on the last two columns, the child's clique number and the skip
-    it allows, chi and the skip it allows, the tie-break against the
-    incumbent, and last the canonicity test, which only a child that would
-    become the incumbent takes.
+    with one incumbent for the whole walk. The walk goes to n - 2 vertices;
+    the last two levels are bounded. A parent none of whose children can beat
+    the incumbent on ratio, then on fewer edges, is passed over whole, from
+    cheap bounds to dear ones: its grandparent's DSATUR colouring and clique,
+    before the parent is built; two greedy colourings of its own; the
+    canonicity test; and its exact chi. A parent that survives them is solved
+    once, and each neighbourhood of the new vertex then goes from cheap steps
+    to expensive ones: the ``_child_bounds`` skip, the check on the last two
+    columns, the child's clique number and the skip it allows, chi and the
+    skip it allows, the tie-break against the incumbent, and last the
+    canonicity test, which only a child that would become the incumbent takes.
 
     An unbudgeted run starts the bound at a floor: the (chi, omega, edges) of
     ``max_ratio_search(n)``'s record, certified by exact solves. The walk
     itself still finds and labels the record, because the floor only prunes
     graphs that lose to it on ratio or on edges, and ``_prefer`` is a total
-    order: the record and ``nodes`` are those of a walk without the floor. A
-    budgeted run has no floor, so the incumbent it reports at a cut is that of
-    the bare walk.
+    order: the record is that of a walk without the floor, which may make
+    more extension tests. A budgeted run has no floor, so the incumbent it
+    reports at a cut is that of the bare walk.
 
-    Exhaustive mode covers 1 <= n <= 9; n = 9 (274,668 classes) takes
-    3,305,498 extension tests, about 1.4 s on a shared 2-core machine
-    (CPython 3.11.7). Larger n are refused — use ``max_ratio_search`` there.
-    A budget counts extension tests in depth-first order, skipped ones
-    included; a record it cuts short is not exhaustive. ``workers`` is
+    Exhaustive mode covers 1 <= n <= 9; n = 9 (274,668 classes) takes 284,954
+    extension tests, about 0.65 s on a shared 2-core machine (CPython
+    3.11.7). Larger n are refused — use ``max_ratio_search`` there. ``nodes``
+    and a budget count the extension tests made, one per neighbourhood drawn
+    for a new vertex, in depth-first order; a parent passed over whole takes
+    none. A record that a budget cuts short is not exhaustive. ``workers`` is
     validated but has no effect: the search runs in the calling thread.
     """
     if n < 1:
@@ -542,25 +552,51 @@ def max_ratio_exact(n: int, node_budget: Optional[int] = None, workers: int = 1)
     if node_budget is None:
         floor = max_ratio_search(n)
         bar = (floor.value.num, floor.value.den, floor.witness.num_edges())
+
+    def parents() -> Iterator[tuple[tuple[int, ...], int, int, tuple[int, ...]]]:
+        # The canonical graphs on n - 1 vertices some child of which may beat
+        # the incumbent (``bar`` is read as it stands), each with its edges,
+        # maximum clique and optimal colour classes. A parent is a grandparent
+        # g on n - 2 vertices plus a mask. Its children have one colour more
+        # than its chi, at least its clique and at least its edges, so it is
+        # dropped on the first bound that rules them all out, cheapest first:
+        # g's DSATUR classes and clique, before the parent is built; the
+        # parent's greedy colourings; and, once it is known to be canonical,
+        # its exact chi.
+        if n == 2:
+            yield (0,), 0, 1, (1,)  # K1 has no grandparent: it is taken as is
+            return
+        for g in _canonical_descendants((0,), n - 2, every):
+            if len(g) < n - 2:
+                continue
+            g_edges = sum(row.bit_count() for row in g) // 2
+            g_clique = _max_clique(g, (1 << (n - 2)) - 1)[1]
+            g_classes = _classes(_dsatur_greedy(g, n - 2))
+            plan = None
+            for mask in every(g):
+                up, lo = _child_bounds(mask, g_classes, g_clique)
+                edges = g_edges + mask.bit_count()
+                if _cannot_win(up + 1, lo, edges, bar):
+                    continue
+                adj = _candidate(g, mask)
+                if adj is None:
+                    continue
+                clique = _max_clique(adj, (1 << (n - 1)) - 1)[1]
+                lo = clique.bit_count()
+                ups = _parent_ups(adj, clique)
+                if any(_cannot_win(up, lo, edges, bar) for up, _ in itertools.islice(ups, 2)):
+                    continue
+                if plan is None:
+                    plan = _plan(g)
+                if not _is_canonical(adj, plan):
+                    continue
+                up, classes = next(ups)
+                if not _cannot_win(up, lo, edges, bar):
+                    yield adj, edges, clique, classes
+
     complete = True
     try:
-        for adj in _canonical_descendants((0,), n - 1, every):
-            if len(adj) < n - 1:
-                continue
-            edges = sum(row.bit_count() for row in adj) // 2
-            # A child has at most one colour more than the parent, at least its
-            # clique and at least its edges: when that cannot win, no child
-            # can, and all the parent's masks are counted in one step. The
-            # greedy bounds spare the exact solve; every parent they skip, the
-            # exact bound would skip too.
-            clique = _max_clique(adj, (1 << (n - 1)) - 1)[1]
-            lo = clique.bit_count()
-            for up, classes in _parent_ups(adj, clique):
-                if skip := _cannot_win(up, lo, edges, bar):
-                    break
-            if skip:
-                counter.ticks(1 << (n - 1))
-                continue
+        for adj, edges, clique, classes in parents():
             plan = None
             for mask in every(adj):
                 # A child whose bounds cannot win against the incumbent is

@@ -44,14 +44,6 @@ class _Counter:
             raise BudgetExceeded
         self.count += 1
 
-    def ticks(self, k: int) -> None:
-        """``k`` calls of ``tick`` in one step: the count stops at ``limit``
-        and raises there, exactly where the k-th or an earlier tick would."""
-        if self.limit is not None and self.count + k > self.limit:
-            self.count = self.limit
-            raise BudgetExceeded
-        self.count += k
-
 
 @dataclass(frozen=True)
 class ColoringCertificate:
@@ -266,6 +258,9 @@ def _chromatic(adj: tuple[int, ...], clique_mask: int, greedy: list[int],
     when ``exact``, else the best coloring found before the budget ran out."""
     n = len(adj)
     omega = clique_mask.bit_count()
+    best_k = max(greedy)
+    if best_k == omega:
+        return best_k, greedy, True  # the clique bound alone is met
     # An isolated vertex is in every maximum independent set, so alpha is their
     # number plus the independence number of the rest; the clique search in the
     # complement then skips them, where padding makes it slowest.
@@ -277,8 +272,6 @@ def _chromatic(adj: tuple[int, ...], clique_mask: int, greedy: list[int],
     # Two standard lower bounds: the clique bound and the independence-number
     # bound ceil(n / alpha); the search may stop as soon as either is met.
     lower = max(omega, -(-n // alpha))
-
-    best_k = max(greedy)
     if best_k == lower:
         return best_k, greedy, True
 

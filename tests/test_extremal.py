@@ -16,6 +16,7 @@ from chiomega.extremal import (
     _canonical_descendants,
     _cannot_win,
     _child_bounds,
+    _classes,
     _construction_portfolio,
     _extend,
     _is_canonical,
@@ -33,7 +34,8 @@ from chiomega.extremal import (
     verify_ratio_table,
 )
 from chiomega.graphs import Graph, cycle_graph, from_graph6, random_graph, to_graph6
-from chiomega.invariants import BudgetExceeded, _max_clique, chromatic_number, clique_number
+from chiomega.invariants import (BudgetExceeded, _dsatur_greedy, _max_clique, chromatic_number,
+                                 clique_number)
 
 
 def test_ratio_comparisons_are_exact():
@@ -271,10 +273,11 @@ def test_cannot_win_never_skips_a_child_that_prefer_would_take():
     # Every child of every canonical parent on up to 6 vertices against
     # incumbents of its order: the record, and the first canonical graph of
     # each (ratio, edges) key, so ratio ties come with fewer, equal and more
-    # edges. Wherever the skip fires (per parent on a greedy colouring or on
-    # the exact one, per mask, after omega or after chi), _prefer with the
-    # child's true ratio must refuse the child.
-    skips = 0
+    # edges. Wherever the skip fires (per parent on its grandparent's DSATUR
+    # classes and clique, on a greedy colouring or on the exact one, per mask,
+    # after omega or after chi), _prefer with the child's true ratio must
+    # refuse the child.
+    skips = grand_skips = 0
     for k in range(1, 7):
         incumbents = {}
         for g in canonical_graphs(k + 1):
@@ -289,6 +292,13 @@ def test_cannot_win_never_skips_a_child_that_prefer_would_take():
             greedy_ups = [up for up, _ in greedy]
             greedy_lo = clique.bit_count()
             edges = parent.num_edges()
+            # The parent as its grandparent sees it: the last vertex's mask
+            # against the DSATUR classes and clique of the first k - 1.
+            grand = None
+            if k > 1:
+                rows = tuple(row & ~(1 << (k - 1)) for row in parent.adj[:-1])
+                grand = _child_bounds(parent.adj[-1], _classes(_dsatur_greedy(rows, k - 1)),
+                                      _max_clique(rows, (1 << (k - 1)) - 1)[1])
             for mask in range(1 << k):
                 child = Graph(k + 1, _extend(parent.adj, mask))
                 omega = clique_number(child).value
@@ -297,14 +307,17 @@ def test_cannot_win_never_skips_a_child_that_prefer_would_take():
                 child_edges = edges + mask.bit_count()
                 assert child_edges == child.num_edges()
                 for best, bar in zip(bests, bars):
-                    if (any(_cannot_win(g, greedy_lo, edges, bar) for g in greedy_ups)
+                    grand_skip = grand is not None and _cannot_win(grand[0] + 1, grand[1], edges, bar)
+                    if (grand_skip
+                            or any(_cannot_win(g, greedy_lo, edges, bar) for g in greedy_ups)
                             or _cannot_win(exact_up, greedy_lo, edges, bar)
                             or _cannot_win(up, lo, child_edges, bar)
                             or _cannot_win(up, omega, child_edges, bar)
                             or _cannot_win(cand[0].num, omega, child_edges, bar)):
                         assert not _prefer(cand, best), (parent.adj, mask, bar)
                         skips += 1
-    assert skips > 0
+                        grand_skips += grand_skip
+    assert skips > grand_skips > 0
     # No incumbent skips nothing.
     assert not _cannot_win(1, 9, 99, None)
 
@@ -338,15 +351,15 @@ def test_max_ratio_exact_rejects_big_n():
 
 # max_ratio_exact(7) under a budget: (budget, value, witness graph6, extension
 # tests, exhaustive). The budget is spent depth first: the first graph on 7
-# vertices is scored at test 6, the witness at test 654, and test 11290 ends
-# the enumeration.
+# vertices is scored at test 6, the witness at test 654, and test 3034 ends
+# the enumeration. Parents that cannot beat the witness take no test.
 _F7_BUDGETED = [
     (6, "1/1", "F????", 6, False),
     (653, "1/1", "F????", 653, False),
     (654, "3/2", "F?Ch_", 654, False),
-    (11289, "3/2", "F?Ch_", 11289, False),
-    (11290, "3/2", "F?Ch_", 11290, True),
-    (20000, "3/2", "F?Ch_", 11290, True),
+    (3033, "3/2", "F?Ch_", 3033, False),
+    (3034, "3/2", "F?Ch_", 3034, True),
+    (20000, "3/2", "F?Ch_", 3034, True),
 ]
 
 
@@ -370,8 +383,8 @@ def test_max_ratio_exact_budget():
 
 # SHA-256 of one line per budget, "budget value witness exhaustive nodes" or
 # "budget over" when the budget ends before any graph is scored: every budget
-# of max_ratio_exact(n) for n = 1..5 up to its 0, 2, 10, 42 and 218 extension
-# tests, and every 10th budget of max_ratio_exact(6) plus its full 1306. Pins
+# of max_ratio_exact(n) for n = 1..5 up to its 0, 2, 10, 42 and 154 extension
+# tests, and every 5th budget of max_ratio_exact(6) plus its full 634. Pins
 # where each budget stops the walk and which incumbent it keeps, not only the
 # end points.
 _BUDGET_FOLD_SHA256 = {
@@ -379,9 +392,9 @@ _BUDGET_FOLD_SHA256 = {
     (2, range(3)): "e87b2510ad2576aac60d995b2d69f556095b156400e5d665815373eac8e202c5",
     (3, range(11)): "06d7944c7c7ba6e7b2e0feffb7be00195a8ad6e1d669c6f84969d546ebea8124",
     (4, range(43)): "3116f3fcdeaf05640d43b916125282fa22954d3ccbd68a3a37b6c3f635d72a48",
-    (5, range(219)): "dbf6a5de60384dfe34857bad17bbe651f360eb1a811da12088f57c1691f9857d",
-    (6, (*range(0, 1306, 10), 1306)):
-        "c88f21f5e6d94b3bfef4f63ac181a2dabfcca56f1f3d456de044c48d6563c5d0",
+    (5, range(155)): "13404a8a640bb1db5cec4348eaa3a6fa0f3d1186c072c68f5bb085ef7159e5c5",
+    (6, (*range(0, 634, 5), 634)):
+        "7b4116a843bea22696a0994467cdcb15f345468a91d1bd9023d6e77fe558833a",
 }
 
 
@@ -405,13 +418,14 @@ def test_max_ratio_exact_recomputes_packaged_f9():
     rec = max_ratio_exact(9)
     shipped = next(r for r in packaged_ratio_table() if r.n == 9)
     assert rec.to_json_obj() == shipped.to_json_obj()
-    assert rec.meta.nodes == 3305498
+    assert rec.meta.nodes == 284954
 
 
 def test_max_ratio_exact_floor_changes_no_record():
     # A budget that is never reached takes the path without the floor: the
-    # record, its labelling and its extension-test count are the same, and
-    # the floor spares exact chi solves.
+    # record and its labelling are the same, and the floor spares exact chi
+    # solves. A parent that cannot beat the floor takes no extension test,
+    # so the floored run makes no more of them than the bare one.
     solves = []
 
     def counted(g, *args, **kwargs):
@@ -426,7 +440,7 @@ def test_max_ratio_exact_floor_changes_no_record():
             solves.append(0)
             bare = max_ratio_exact(n, node_budget=10**9)
         assert floored.to_json_obj() == bare.to_json_obj(), n
-        assert floored.meta.nodes == bare.meta.nodes, n
+        assert floored.meta.nodes <= bare.meta.nodes, n
         assert floored.exhaustive and bare.exhaustive, n
     # (floored, bare) solves for n = 1..8. The floor's own portfolio solves
     # count too, so at n = 5 it costs more than it saves.

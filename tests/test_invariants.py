@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from chiomega import invariants
 from chiomega.extremal import _CHI_BUDGET, canonical_graphs, max_ratio_exact
 from chiomega.graphs import (complete_graph, cycle_graph, empty_graph, mycielski, paley_graph,
                              random_graph)
@@ -283,30 +284,25 @@ def test_counter_refuses_the_node_past_its_limit():
         _Counter(-1)
 
 
-def test_counter_ticks_is_k_ticks():
-    # From each start, k ticks in one step leave the same count and raise
-    # exactly when k single ticks would, for limits below, at and above
-    # start + k, and for no limit.
-    for start in (0, 3):
-        for k in (0, 1, 5):
-            for limit in (*range(start, start + k + 3), None):
-                one, many = _Counter(limit), _Counter(limit)
-                for _ in range(start):
-                    one.tick()
-                    many.tick()
-                raised = False
-                try:
-                    for _ in range(k):
-                        one.tick()
-                except BudgetExceeded:
-                    raised = True
-                try:
-                    many.ticks(k)
-                except BudgetExceeded:
-                    assert raised, (start, k, limit)
-                else:
-                    assert not raised, (start, k, limit)
-                assert many.count == one.count, (start, k, limit)
+def test_chromatic_skips_the_alpha_search_when_greedy_meets_omega(monkeypatch):
+    # When the DSATUR colouring uses omega colours, the clique bound alone
+    # proves it optimal: no clique search runs on the complement.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _max_clique(*args)
+
+    g = complete_graph(6)
+    clique = _max_clique(g.adj, g.full_mask())[1]
+    greedy = _dsatur_greedy(g.adj, g.n)
+    monkeypatch.setattr(invariants, "_max_clique", counted)
+    assert _chromatic(g.adj, clique, greedy, None) == (6, greedy, True)
+    assert calls == []
+    # Where it does not, the alpha bound is still computed.
+    c5 = cycle_graph(5)
+    _chromatic(c5.adj, _max_clique(c5.adj, c5.full_mask())[1], _dsatur_greedy(c5.adj, 5), None)
+    assert len(calls) == 1
 
 
 def test_extreme_graphs():

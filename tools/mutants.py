@@ -90,9 +90,16 @@ MUTANTS = (
     ),
     Mutant(
         "g", "extremal.py",
-        "yield chi + 1, tuple(classes)",
-        "yield chi, tuple(classes)",
+        "yield chi + 1, _classes(colors)",
+        "yield chi, _classes(colors)",
         "the exact parent bound forgets the new vertex's colour",
+        ("test_extremal.py",),
+    ),
+    Mutant(
+        "h", "extremal.py",
+        "_cannot_win(up + 1, lo, edges, bar)",
+        "_cannot_win(up, lo, edges, bar)",
+        "the grandparent bound on a parent forgets its children's new colour",
         ("test_extremal.py",),
     ),
 )
