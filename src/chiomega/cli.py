@@ -467,9 +467,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except invariants.BudgetExceeded as exc:
-        print(f"chiomega: error: {exc or 'budget too small'}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except ValueError as exc:
         print(f"chiomega: error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

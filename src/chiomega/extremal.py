@@ -487,16 +487,13 @@ def _child_bounds(mask: int, classes: tuple[int, ...], clique: int) -> tuple[int
     return up, clique.bit_count() + (mask & clique == clique)
 
 
-def _cannot_win(up: int, lo: int, edges: int, bar: Optional[tuple[int, int, int]]) -> bool:
+def _cannot_win(up: int, lo: int, edges: int, bar: tuple[int, int, int]) -> bool:
     """Whether every graph with chi/omega <= up/lo and ``edges`` edges loses
     under ``_prefer`` to an incumbent whose (chi, omega, edges) is ``bar``.
 
     The first two keys of ``_prefer`` decide it: a lower ratio bound, or an
     equal one with more edges. Equal edges are left to the graph6 tie-break.
-    Nothing loses when there is no incumbent (None).
     """
-    if bar is None:
-        return False
     chi, omega, bar_edges = bar
     d = up * omega - chi * lo
     return d < 0 or (d == 0 and edges > bar_edges)
@@ -519,13 +516,14 @@ def max_ratio_exact(n: int, node_budget: Optional[int] = None, workers: int = 1)
     skip it allows, the tie-break against the incumbent, and last the
     canonicity test, which only a child that would become the incumbent takes.
 
-    An unbudgeted run starts the bound at a floor: the (chi, omega, edges) of
-    ``max_ratio_search(n)``'s record, certified by exact solves. The walk
-    itself still finds and labels the record, because the floor only prunes
-    graphs that lose to it on ratio or on edges, and ``_prefer`` is a total
-    order: the record is that of a walk without the floor, which may make
-    more extension tests. A budgeted run has no floor, so the incumbent it
-    reports at a cut is that of the bare walk.
+    The bound starts at a floor: the (chi, omega, edges) of the record of
+    ``max_ratio_search(n)``, certified by exact solves. The walk itself still
+    finds and labels the record, because the floor only prunes graphs that
+    lose to it on ratio or on edges, and ``_prefer`` is a total order: the
+    record is that of a walk without the floor, which would make more
+    extension tests. A budget changes nothing but where the walk stops: a run
+    that completes within it returns what an unbudgeted run returns, and one
+    that it cuts before the first incumbent returns the floor's record.
 
     Exhaustive mode covers 1 <= n <= 9; n = 9 (274,668 classes) takes 284,954
     extension tests, about 0.65 s on a shared 2-core machine (CPython
@@ -548,10 +546,8 @@ def max_ratio_exact(n: int, node_budget: Optional[int] = None, workers: int = 1)
         return RatioRecord(1, Ratio(1, 1), Graph(1, (0,)), exhaustive=True)
     every = _all_masks(counter)
     part: Optional[tuple[Ratio, Graph]] = None
-    bar: Optional[tuple[int, int, int]] = None  # part's (chi, omega, edges), or the floor's
-    if node_budget is None:
-        floor = max_ratio_search(n)
-        bar = (floor.value.num, floor.value.den, floor.witness.num_edges())
+    floor = max_ratio_search(n)
+    bar = (floor.value.num, floor.value.den, floor.witness.num_edges())  # then part's
 
     def parents() -> Iterator[tuple[tuple[int, ...], int, int, tuple[int, ...]]]:
         # The canonical graphs on n - 1 vertices some child of which may beat
@@ -615,7 +611,8 @@ def max_ratio_exact(n: int, node_budget: Optional[int] = None, workers: int = 1)
                     continue
                 chi = chromatic_number(g).value
                 # Against the floor, before any incumbent, _prefer alone would
-                # take a child that loses to it: the exact chi decides first.
+                # take a child that loses to it: the exact chi decides first,
+                # so no incumbent loses to the floor on ratio or edges.
                 if _cannot_win(chi, omega, child_edges, bar):
                     continue
                 cand = (Ratio(chi, omega), g)
@@ -632,9 +629,9 @@ def max_ratio_exact(n: int, node_budget: Optional[int] = None, workers: int = 1)
     except BudgetExceeded:
         complete = False
     if part is None:
-        if node_budget is None:
+        if complete:
             raise RuntimeError(f"the floor {bar} beat every graph on {n} vertices")
-        raise BudgetExceeded("budget too small to score any graph")
+        part = (floor.value, floor.witness)
     value, witness = part
     return RatioRecord(n, value, witness, exhaustive=complete, meta=SearchMeta(nodes=counter.count))
 

@@ -24,7 +24,7 @@ TRANSCRIPT = Path(__file__).with_name("cli_transcript.json")
 
 def transcript_commands() -> list[list[str]]:
     cmds = [["f", "exact", "--n", str(n)] for n in range(1, 8)]
-    cmds += [["f", "exact", "--n", "7", "--budget", str(b)] for b in (50, 1000, 11290)]
+    cmds += [["f", "exact", "--n", "7", "--budget", str(b)] for b in (0, 50, 1000, 11290)]
     cmds += [["f", "exact", "--n", "9", "--budget", "1000"]]
     cmds += [["ramsey", "small", "--s", "2", "--t", str(t)] for t in range(2, 6)]
     cmds += [["ramsey", "small", "--s", "3", "--t", str(t)] for t in (3, 4)]

@@ -33,9 +33,8 @@ from chiomega.extremal import (
     save_ratio_table,
     verify_ratio_table,
 )
-from chiomega.graphs import Graph, cycle_graph, from_graph6, random_graph, to_graph6
-from chiomega.invariants import (BudgetExceeded, _dsatur_greedy, _max_clique, chromatic_number,
-                                 clique_number)
+from chiomega.graphs import Graph, complete_graph, cycle_graph, from_graph6, random_graph, to_graph6
+from chiomega.invariants import _dsatur_greedy, _max_clique, chromatic_number, clique_number
 
 
 def test_ratio_comparisons_are_exact():
@@ -318,21 +317,35 @@ def test_cannot_win_never_skips_a_child_that_prefer_would_take():
                         skips += 1
                         grand_skips += grand_skip
     assert skips > grand_skips > 0
-    # No incumbent skips nothing.
-    assert not _cannot_win(1, 9, 99, None)
 
 
 def test_max_ratio_exact_equals_unbounded_maximum():
     # The plain maximum under the tie-break, every graph scored in full: no
-    # bound, no skip and no floor.
+    # bound, no skip and no floor. The walk must reach it from its own floor
+    # and from every (chi, omega, edges) key that some graph on n vertices
+    # attains, installed as the floor with that graph as its witness: the
+    # walk's own skip rules then run against every attainable bar below the
+    # record, and against the record's key.
+    keys = 0
     for n in range(1, 8):
         best = None
+        firsts = {}
         for g in canonical_graphs(n):
             cand = (Ratio(chromatic_number(g).value, clique_number(g).value), g)
+            firsts.setdefault((cand[0].num, cand[0].den, g.num_edges()), g)
             if _prefer(cand, best):
                 best = cand
+        want = (str(best[0]), to_graph6(best[1]))
         rec = max_ratio_exact(n)
-        assert (str(rec.value), to_graph6(rec.witness)) == (str(best[0]), to_graph6(best[1])), n
+        assert (str(rec.value), to_graph6(rec.witness)) == want, n
+        for (chi, omega, _), g in firsts.items():
+            floor = RatioRecord(n, Ratio(chi, omega), g, exhaustive=False)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(extremal, "max_ratio_search", lambda _: floor)
+                rec = max_ratio_exact(n)
+            assert (str(rec.value), to_graph6(rec.witness)) == want, (n, to_graph6(g))
+        keys += len(firsts)
+    assert keys == 143
 
 
 def test_max_ratio_exact_rejects_big_n():
@@ -350,12 +363,13 @@ def test_max_ratio_exact_rejects_big_n():
 
 
 # max_ratio_exact(7) under a budget: (budget, value, witness graph6, extension
-# tests, exhaustive). The budget is spent depth first: the first graph on 7
-# vertices is scored at test 6, the witness at test 654, and test 3034 ends
-# the enumeration. Parents that cannot beat the witness take no test.
+# tests, exhaustive). The budget is spent depth first, from the floor (f
+# search's padded 5-cycle, Fhc??): a cut before test 654, where the walk meets
+# the witness, reports the floor, and test 3034 ends the enumeration. Parents
+# that cannot beat the floor or the witness take no test.
 _F7_BUDGETED = [
-    (6, "1/1", "F????", 6, False),
-    (653, "1/1", "F????", 653, False),
+    (6, "3/2", "Fhc??", 6, False),
+    (653, "3/2", "Fhc??", 653, False),
     (654, "3/2", "F?Ch_", 654, False),
     (3033, "3/2", "F?Ch_", 3033, False),
     (3034, "3/2", "F?Ch_", 3034, True),
@@ -363,10 +377,21 @@ _F7_BUDGETED = [
 ]
 
 
+def _canonical_or_floor(rec):
+    """The last order tests canonicity only for a would-be incumbent; a
+    budgeted record is canonically labelled all the same, unless it is the
+    floor's own witness."""
+    return (_is_canonical(rec.witness.adj)
+            or to_graph6(rec.witness) == to_graph6(max_ratio_search(rec.n).witness))
+
+
 def test_max_ratio_exact_budget():
+    # A budget too small to reach any incumbent leaves the floor's record.
+    floor = max_ratio_search(7)
     for budget in (0, 5):
-        with pytest.raises(BudgetExceeded):
-            max_ratio_exact(7, node_budget=budget)
+        rec = max_ratio_exact(7, node_budget=budget)
+        assert (rec.value, rec.witness, rec.meta.nodes) == (floor.value, floor.witness, budget)
+        assert not rec.exhaustive
     with pytest.raises(ValueError):
         max_ratio_exact(7, node_budget=-1)
     partial = max_ratio_exact(6, node_budget=200)
@@ -376,25 +401,22 @@ def test_max_ratio_exact_budget():
         rec = max_ratio_exact(7, node_budget=budget)
         got = (str(rec.value), to_graph6(rec.witness), rec.meta.nodes, rec.exhaustive)
         assert got == (value, witness, nodes, exhaustive), budget
-        # The last order tests canonicity only for a would-be incumbent; a
-        # budgeted record is canonically labelled all the same.
-        assert _is_canonical(rec.witness.adj), budget
+        assert _canonical_or_floor(rec), budget
 
 
-# SHA-256 of one line per budget, "budget value witness exhaustive nodes" or
-# "budget over" when the budget ends before any graph is scored: every budget
-# of max_ratio_exact(n) for n = 1..5 up to its 0, 2, 10, 42 and 154 extension
-# tests, and every 5th budget of max_ratio_exact(6) plus its full 634. Pins
-# where each budget stops the walk and which incumbent it keeps, not only the
-# end points.
+# SHA-256 of one line per budget, "budget value witness exhaustive nodes":
+# every budget of max_ratio_exact(n) for n = 1..5 up to its 0, 2, 10, 42 and
+# 154 extension tests, and every 5th budget of max_ratio_exact(6) plus its full
+# 634. Pins where each budget stops the walk and which incumbent it keeps (the
+# floor's record before the first), not only the end points.
 _BUDGET_FOLD_SHA256 = {
     (1, range(1)): "cb9a5e7b0f722f5d1105632dd95fc082959362e4e45268ed8094370986344387",
-    (2, range(3)): "e87b2510ad2576aac60d995b2d69f556095b156400e5d665815373eac8e202c5",
-    (3, range(11)): "06d7944c7c7ba6e7b2e0feffb7be00195a8ad6e1d669c6f84969d546ebea8124",
-    (4, range(43)): "3116f3fcdeaf05640d43b916125282fa22954d3ccbd68a3a37b6c3f635d72a48",
-    (5, range(155)): "13404a8a640bb1db5cec4348eaa3a6fa0f3d1186c072c68f5bb085ef7159e5c5",
+    (2, range(3)): "494853bad3a87fafc48061198fd283054c87e599cda633aa013651b7c1faee91",
+    (3, range(11)): "481b8e39e8d6cea794959d1714592c814df784934847126243f8b63e5c1e965d",
+    (4, range(43)): "05c74ad591d1fb7beac7990b616fd24d136605f877c8847aa35e464ec78d0535",
+    (5, range(155)): "8ce8b51d323b75dc6d3ec80b57edcc6f318ad54b54a7ccbe48ec24f766c7e962",
     (6, (*range(0, 634, 5), 634)):
-        "7b4116a843bea22696a0994467cdcb15f345468a91d1bd9023d6e77fe558833a",
+        "760f805baff483485e71be50af5afb80e9480152c2485c17245f131cf645c3a5",
 }
 
 
@@ -402,12 +424,8 @@ def test_max_ratio_exact_budget_fold_is_pinned():
     for (n, budgets), digest in _BUDGET_FOLD_SHA256.items():
         lines = []
         for budget in budgets:
-            try:
-                rec = max_ratio_exact(n, node_budget=budget)
-            except BudgetExceeded:
-                lines.append(f"{budget} over")
-                continue
-            assert _is_canonical(rec.witness.adj), (n, budget)
+            rec = max_ratio_exact(n, node_budget=budget)
+            assert _canonical_or_floor(rec), (n, budget)
             lines.append(f"{budget} {rec.value} {to_graph6(rec.witness)} "
                          f"{rec.exhaustive} {rec.meta.nodes}")
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest, n
@@ -422,23 +440,28 @@ def test_max_ratio_exact_recomputes_packaged_f9():
 
 
 def test_max_ratio_exact_floor_changes_no_record():
-    # A budget that is never reached takes the path without the floor: the
-    # record and its labelling are the same, and the floor spares exact chi
-    # solves. A parent that cannot beat the floor takes no extension test,
-    # so the floored run makes no more of them than the bare one.
+    # With K_n as its floor the walk is bare: K_n's ratio 1 with every edge
+    # loses to no graph, so that floor prunes nothing. The record and its
+    # labelling are the same, and the floor spares exact chi solves. A parent
+    # that cannot beat the floor takes no extension test, so the floored run
+    # makes no more of them than the bare one.
     solves = []
 
     def counted(g, *args, **kwargs):
         solves[-1] += 1
         return chromatic_number(g, *args, **kwargs)
 
+    def k_n(n):
+        return RatioRecord(n, Ratio(n, n), complete_graph(n), exhaustive=False)
+
     for n in range(1, 9):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(extremal, "chromatic_number", counted)
             solves.append(0)
             floored = max_ratio_exact(n)
+            mp.setattr(extremal, "max_ratio_search", k_n)
             solves.append(0)
-            bare = max_ratio_exact(n, node_budget=10**9)
+            bare = max_ratio_exact(n)
         assert floored.to_json_obj() == bare.to_json_obj(), n
         assert floored.meta.nodes <= bare.meta.nodes, n
         assert floored.exhaustive and bare.exhaustive, n
@@ -455,10 +478,10 @@ def test_max_ratio_exact_fails_loudly_when_the_floor_beats_every_graph(monkeypat
         return RatioRecord(n, Ratio(n, 1), Graph(n, (0,) * n), exhaustive=False)
 
     monkeypatch.setattr(extremal, "max_ratio_search", too_high)
-    with pytest.raises(RuntimeError, match="floor"):
-        max_ratio_exact(5)
-    # A budgeted run takes no floor.
-    assert max_ratio_exact(5, node_budget=10**9).value == Ratio(3, 2)
+    # A budgeted run that completes takes the same floor and fails the same way.
+    for budget in (None, 10**9):
+        with pytest.raises(RuntimeError, match="floor"):
+            max_ratio_exact(5, node_budget=budget)
 
 
 def test_max_ratio_exact_worker_independence():

@@ -59,14 +59,6 @@ MUTANTS = (
         ("test_extremal.py",),
     ),
     Mutant(
-        "c", "extremal.py",
-        "    if node_budget is None:\n        floor = max_ratio_search(n)",
-        "    if True:\n        floor = max_ratio_search(n)",
-        "a budgeted run also starts at the floor, so the incumbent it reports at "
-        "a cut is no longer that of the bare walk",
-        ("test_cli_transcript.py",),
-    ),
-    Mutant(
         "d", "extremal.py",
         "if _cannot_win(chi, omega, child_edges, bar):",
         "if False:",
@@ -101,6 +93,15 @@ MUTANTS = (
         "_cannot_win(up, lo, edges, bar)",
         "the grandparent bound on a parent forgets its children's new colour",
         ("test_extremal.py",),
+    ),
+    Mutant(
+        "i", "extremal.py",
+        "    floor = max_ratio_search(n)\n",
+        "    floor = (max_ratio_search(n) if node_budget is None else\n"
+        "             RatioRecord(n, Ratio(n, n), complete_graph(n), exhaustive=False))\n",
+        "a budgeted run drops the floor for K_n, which prunes nothing: it walks "
+        "bare, and a cut before the first incumbent reports K_n",
+        ("test_extremal.py", "test_cli_transcript.py"),
     ),
 )
 
