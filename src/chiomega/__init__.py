@@ -25,7 +25,6 @@ from .graphs import (
     to_graph6,
 )
 from .invariants import (
-    BudgetExceeded,
     ColoringCertificate,
     ExactInvariantResult,
     GreedyColoringStats,

@@ -394,13 +394,6 @@ def _candidate(adj: tuple[int, ...], mask: int) -> Optional[tuple[int, ...]]:
     return _extend(adj, mask)
 
 
-def _child(adj: tuple[int, ...], mask: int, plan: tuple) -> Optional[tuple[int, ...]]:
-    """The child of ``adj`` whose new vertex is adjacent to ``mask``, or None
-    when that child is not canonically labeled; ``plan`` is ``_plan(adj)``."""
-    child = _candidate(adj, mask)
-    return child if child is not None and _is_canonical(child, plan) else None
-
-
 def _canonical_descendants(adj: tuple[int, ...], n: int, masks: MaskSource,
                            base: Optional[tuple] = None) -> Iterator[tuple[int, ...]]:
     """``adj``, then every canonical graph with at most n vertices below it in
@@ -418,8 +411,8 @@ def _canonical_descendants(adj: tuple[int, ...], n: int, masks: MaskSource,
     if len(adj) < n:
         plan = _plan(adj, base)
         for mask in masks(adj):
-            child = _child(adj, mask, plan)
-            if child is not None:
+            child = _candidate(adj, mask)
+            if child is not None and _is_canonical(child, plan):
                 yield from _canonical_descendants(child, n, masks, plan)
 
 
@@ -456,16 +449,16 @@ def _classes(colors: list[int]) -> tuple[int, ...]:
 
 def _parent_ups(adj: tuple[int, ...],
                 clique: int) -> Iterator[tuple[int, Optional[tuple[int, ...]]]]:
-    """Upper bounds on chi(child) for every child of a graph with this maximum
-    clique, cheapest first: one colour more than a greedy colouring in label
-    order, than a DSATUR one (chi is at most a greedy count, so neither is
-    tighter than the last), and than an optimal one, with its classes as masks."""
+    """Upper bounds on the chi of a graph with this maximum clique, cheapest
+    first: the colours of a greedy colouring in label order, of a DSATUR one
+    (chi is at most a greedy count, so neither is below the last), and chi
+    itself, with an optimal colouring's classes as masks."""
     n = len(adj)
-    yield _color_sort(adj, (1 << n) - 1)[1][-1] + 1, None
+    yield _color_sort(adj, (1 << n) - 1)[1][-1], None
     greedy = _dsatur_greedy(adj, n)
-    yield max(greedy) + 1, None
+    yield max(greedy), None
     chi, colors, _ = _chromatic(adj, clique, greedy, None)
-    yield chi + 1, _classes(colors)
+    yield chi, _classes(colors)
 
 
 def _child_bounds(mask: int, classes: tuple[int, ...], clique: int) -> tuple[int, int]:
@@ -505,16 +498,21 @@ def max_ratio_exact(n: int, node_budget: Optional[int] = None, workers: int = 1)
     Enumerates isomorphism classes by canonical extension and keeps the best
     ratio under the deterministic tie-break (fewer edges, then graph6 order),
     with one incumbent for the whole walk. The walk goes to n - 2 vertices;
-    the last two levels are bounded. A parent none of whose children can beat
-    the incumbent on ratio, then on fewer edges, is passed over whole, from
-    cheap bounds to dear ones: its grandparent's DSATUR colouring and clique,
-    before the parent is built; two greedy colourings of its own; the
-    canonicity test; and its exact chi. A parent that survives them is solved
-    once, and each neighbourhood of the new vertex then goes from cheap steps
-    to expensive ones: the ``_child_bounds`` skip, the check on the last two
-    columns, the child's clique number and the skip it allows, chi and the
-    skip it allows, the tie-break against the incumbent, and last the
-    canonicity test, which only a child that would become the incumbent takes.
+    its last two orders take one bounded step: each neighbourhood of a new
+    vertex is bounded from the colour classes and clique of the graph it
+    extends, plus one colour per vertex still to come, and is counted but not
+    built when that cannot beat the incumbent on ratio, then on fewer edges,
+    or when the check on the last two columns rejects it. A grandparent feeds
+    the step its DSATUR colouring. A parent goes on from cheap bounds to dear
+    ones, its children's new colour added: two greedy colourings, the
+    canonicity test and its exact chi, whose colouring feeds the step. A
+    child goes on to its clique number, chi and the tie-break.
+
+    The children take no canonicity test. graph6 packs the bitstring that
+    canonicity minimises, so a class's canonical labelling is its least graph6
+    and ``_prefer`` takes it over every other labelling of the class. Every
+    skip is strict on (ratio, edges), and a canonical child has a canonical
+    parent, so the walk reaches that labelling of the best class and ends on it.
 
     The bound starts at a floor: the (chi, omega, edges) of the record of
     ``max_ratio_search(n)``, certified by exact solves. The walk itself still
@@ -549,61 +547,57 @@ def max_ratio_exact(n: int, node_budget: Optional[int] = None, workers: int = 1)
     floor = max_ratio_search(n)
     bar = (floor.value.num, floor.value.den, floor.witness.num_edges())  # then part's
 
+    def children(adj: tuple[int, ...], edges: int, clique: int,
+                 classes: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], int, int]]:
+        # The children of ``adj`` (with its edges, maximum clique and the
+        # classes of a proper colouring) that pass the check on the last two
+        # columns and some descendant on n vertices of which may beat the
+        # incumbent (``bar`` is read as it stands), each with its edges and a
+        # bound on its chi. A mask whose child loses even with a new colour
+        # per vertex still to come is counted but never built.
+        spare = n - 1 - len(adj)
+        for mask in every(adj):
+            up, lo = _child_bounds(mask, classes, clique)
+            child_edges = edges + mask.bit_count()
+            if _cannot_win(up + spare, lo, child_edges, bar):
+                continue
+            child = _candidate(adj, mask)
+            if child is not None:
+                yield child, child_edges, up
+
     def parents() -> Iterator[tuple[tuple[int, ...], int, int, tuple[int, ...]]]:
         # The canonical graphs on n - 1 vertices some child of which may beat
-        # the incumbent (``bar`` is read as it stands), each with its edges,
-        # maximum clique and optimal colour classes. A parent is a grandparent
-        # g on n - 2 vertices plus a mask. Its children have one colour more
-        # than its chi, at least its clique and at least its edges, so it is
-        # dropped on the first bound that rules them all out, cheapest first:
-        # g's DSATUR classes and clique, before the parent is built; the
-        # parent's greedy colourings; and, once it is known to be canonical,
-        # its exact chi.
+        # the incumbent, each with its edges, maximum clique and optimal
+        # colour classes. Its children have at most one colour more than it
+        # and at least its clique and edges, so a parent is dropped on the
+        # first rung of its chi ladder that, plus one, rules them all out.
         if n == 2:
             yield (0,), 0, 1, (1,)  # K1 has no grandparent: it is taken as is
             return
         for g in _canonical_descendants((0,), n - 2, every):
             if len(g) < n - 2:
                 continue
-            g_edges = sum(row.bit_count() for row in g) // 2
-            g_clique = _max_clique(g, (1 << (n - 2)) - 1)[1]
-            g_classes = _classes(_dsatur_greedy(g, n - 2))
             plan = None
-            for mask in every(g):
-                up, lo = _child_bounds(mask, g_classes, g_clique)
-                edges = g_edges + mask.bit_count()
-                if _cannot_win(up + 1, lo, edges, bar):
-                    continue
-                adj = _candidate(g, mask)
-                if adj is None:
-                    continue
+            for adj, edges, _ in children(g, sum(row.bit_count() for row in g) // 2,
+                                          _max_clique(g, (1 << (n - 2)) - 1)[1],
+                                          _classes(_dsatur_greedy(g, n - 2))):
                 clique = _max_clique(adj, (1 << (n - 1)) - 1)[1]
                 lo = clique.bit_count()
                 ups = _parent_ups(adj, clique)
-                if any(_cannot_win(up, lo, edges, bar) for up, _ in itertools.islice(ups, 2)):
+                if any(_cannot_win(up + 1, lo, edges, bar) for up, _ in itertools.islice(ups, 2)):
                     continue
                 if plan is None:
                     plan = _plan(g)
                 if not _is_canonical(adj, plan):
                     continue
                 up, classes = next(ups)
-                if not _cannot_win(up, lo, edges, bar):
+                if not _cannot_win(up + 1, lo, edges, bar):
                     yield adj, edges, clique, classes
 
     complete = True
     try:
-        for adj, edges, clique, classes in parents():
-            plan = None
-            for mask in every(adj):
-                # A child whose bounds cannot win against the incumbent is
-                # never built; the mask is still counted.
-                up, lo = _child_bounds(mask, classes, clique)
-                child_edges = edges + mask.bit_count()
-                if _cannot_win(up, lo, child_edges, bar):
-                    continue
-                child = _candidate(adj, mask)
-                if child is None:
-                    continue
+        for parent in parents():
+            for child, child_edges, up in children(*parent):
                 g = Graph(n, child)
                 omega = clique_number(g).value
                 # Skip the chromatic solve when even the bound on chi cannot win.
@@ -616,14 +610,7 @@ def max_ratio_exact(n: int, node_budget: Optional[int] = None, workers: int = 1)
                 if _cannot_win(chi, omega, child_edges, bar):
                     continue
                 cand = (Ratio(chi, omega), g)
-                # Only a child that would become the incumbent is tested for
-                # canonicity. One that is not canonical is dropped, so the
-                # incumbents are those of testing every child before scoring it.
-                if not _prefer(cand, part):
-                    continue
-                if plan is None:
-                    plan = _plan(adj)
-                if _is_canonical(child, plan):
+                if _prefer(cand, part):
                     part = cand
                     bar = (chi, omega, child_edges)
     except BudgetExceeded:

@@ -185,11 +185,15 @@ def recurrence_closure(table: BoundsTable) -> BoundsTable:
     Fills the bounding box 1 <= s <= t <= max(t) with base rows R(1,t) = 1 and
     R(2,t) = t, the trivial lower bound (s-1)(t-1)+1 for created records, and
     upper bounds tightened by the recurrence. Existing lower bounds are never
-    changed, existing uppers never loosened; the operation is idempotent.
+    changed, existing uppers never loosened; the operation is idempotent. A
+    table with a pair above the vertex cap is refused: the box grows as t^2/2.
     """
     if len(table) == 0:
         return BoundsTable()
-    t_max = max(t for _, t in table.pairs())
+    s_big, t_max = max(table.pairs(), key=lambda pair: pair[1])
+    if t_max > MAX_VERTICES:
+        raise ValueError(f"R({s_big},{t_max}) has t above the cap of {MAX_VERTICES}: "
+                         "the closure fills every pair s <= t <= max t")
     out: dict[tuple[int, int], RamseyBoundRecord] = {}
     for s in range(1, t_max + 1):
         for t in range(s, t_max + 1):

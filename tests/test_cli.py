@@ -210,6 +210,21 @@ def test_input_errors_exit_one(tmp_path, capsys):
     ):
         code, _ = run_cli(argv)
         assert code == 1, argv
+    # A table whose t is above the vertex cap is refused before the
+    # recurrence closure, which would fill every pair up to it.
+    far = tmp_path / "far.json"
+    far.write_text('[{"s": 1, "t": 65, "lower": 1, "upper": 1}]', encoding="ascii")
+    capsys.readouterr()
+    for argv in (["ramsey", "table", "--closure", "--table", str(far)],
+                 ["conjecture", "rdc", "--s-max", "3", "--table", str(far)],
+                 ["conjecture", "mult", "--s-max", "3", "--table", str(far)],
+                 ["conjecture", "weak-mult", "--s-max", "3", "--table", str(far)],
+                 ["conjecture", "rates", "--table", str(far)],
+                 ["conjecture", "fact23", "--table", str(far)]):
+        code, out = run_cli(argv)
+        err = capsys.readouterr().err
+        assert code == 1 and out == "", argv
+        assert err.startswith("chiomega: error: R(1,65) has t above the cap of 64"), argv
     # A file that cannot be written is an input error with a one-line message.
     missing = tmp_path / "no-such-dir" / "out"
     capsys.readouterr()

@@ -241,7 +241,8 @@ def test_max_ratio_exact_small_values():
 def test_child_bounds_hold_for_every_child_of_small_parents():
     # Every canonical parent on up to 6 vertices, every neighbourhood of a new
     # vertex: chi(parent) <= chi(child) <= up and omega(child) >= lo, for the
-    # child's own bounds and for the parent's greedy ones.
+    # child's own bounds and for the parent's greedy ones plus the one colour
+    # the new vertex may add.
     children = 0
     for k in range(1, 7):
         for parent in canonical_graphs(k):
@@ -253,14 +254,14 @@ def test_child_bounds_hold_for_every_child_of_small_parents():
             greedy_ups = [up for up, _ in greedy]
             # The classes partition the vertices into independent sets, as
             # many as chi, and the greedy bounds are never tighter.
-            assert len(classes) == chromatic_number(parent).value == exact_up - 1
+            assert len(classes) == chromatic_number(parent).value == exact_up
             assert sorted(v for c in classes for v in range(k) if c >> v & 1) == list(range(k))
             assert all(parent.induced(c).num_edges() == 0 for c in classes)
             assert len(greedy_ups) == 2 and min(greedy_ups) >= exact_up
             for mask in range(1 << k):
                 child = Graph(k + 1, _extend(parent.adj, mask))
                 chi, omega = chromatic_number(child).value, clique_number(child).value
-                bounds = [_child_bounds(mask, classes, clique)] + [(up, size) for up in greedy_ups]
+                bounds = [_child_bounds(mask, classes, clique)] + [(up + 1, size) for up in greedy_ups]
                 for up, lo in bounds:
                     assert len(classes) <= chi <= up, (parent.adj, mask)
                     assert omega >= lo, (parent.adj, mask)
@@ -308,8 +309,8 @@ def test_cannot_win_never_skips_a_child_that_prefer_would_take():
                 for best, bar in zip(bests, bars):
                     grand_skip = grand is not None and _cannot_win(grand[0] + 1, grand[1], edges, bar)
                     if (grand_skip
-                            or any(_cannot_win(g, greedy_lo, edges, bar) for g in greedy_ups)
-                            or _cannot_win(exact_up, greedy_lo, edges, bar)
+                            or any(_cannot_win(g + 1, greedy_lo, edges, bar) for g in greedy_ups)
+                            or _cannot_win(exact_up + 1, greedy_lo, edges, bar)
                             or _cannot_win(up, lo, child_edges, bar)
                             or _cannot_win(up, omega, child_edges, bar)
                             or _cannot_win(cand[0].num, omega, child_edges, bar)):
@@ -346,6 +347,40 @@ def test_max_ratio_exact_equals_unbounded_maximum():
             assert (str(rec.value), to_graph6(rec.witness)) == want, (n, to_graph6(g))
         keys += len(firsts)
     assert keys == 143
+
+
+def test_every_incumbent_the_walk_takes_is_canonical():
+    # The walk's children take no canonicity test: _prefer's graph6 tie-break
+    # alone must keep every other labelling of a class out. With the shipped
+    # floor held fixed (computed first, since the portfolio search calls
+    # _prefer too), every graph _prefer accepts inside the walk is canonical,
+    # and the last one is the record's witness. The walk takes one incumbent
+    # per n here, so _prefer never compares two graphs in it: each incumbent
+    # is also checked to win the tie-break against every relabelling of it
+    # by a transposition, which is what keeps a later one out.
+    for n in range(2, 9):
+        floor = max_ratio_search(n)
+        taken = []
+
+        def spy(cand, best, prefer=extremal._prefer):
+            took = prefer(cand, best)
+            if took:
+                taken.append(cand[1])
+            return took
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(extremal, "max_ratio_search", lambda _: floor)
+            mp.setattr(extremal, "_prefer", spy)
+            rec = max_ratio_exact(n)
+        assert taken and taken[-1] is rec.witness, n
+        assert all(_is_canonical(g.adj) for g in taken), [to_graph6(g) for g in taken]
+        for g in taken:
+            for i, j in itertools.combinations(range(n), 2):
+                perm = list(range(n))
+                perm[i], perm[j] = j, i
+                h = g.relabeled(perm)
+                if h.adj != g.adj:
+                    assert _prefer((rec.value, g), (rec.value, h)), (to_graph6(g), i, j)
 
 
 def test_max_ratio_exact_rejects_big_n():

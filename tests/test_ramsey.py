@@ -188,6 +188,17 @@ def test_recurrence_closure_surfaces_contradictions():
         recurrence_closure(table)
 
 
+def test_recurrence_closure_refuses_a_pair_above_the_vertex_cap():
+    # The closure fills every pair s <= t <= max t, so one record far out
+    # would make it close t^2/2 pairs; past the cap of 64 it is refused.
+    at_cap = BoundsTable([RamseyBoundRecord(1, 64, 1, 1)])
+    assert len(recurrence_closure(at_cap)) == 64 * 65 // 2
+    for t in (65, 1500):
+        table = BoundsTable([RamseyBoundRecord(3, 3, 6, 6), RamseyBoundRecord(1, t, 1, 1)])
+        with pytest.raises(ValueError, match=rf"^R\(1,{t}\) .* cap of 64"):
+            recurrence_closure(table)
+
+
 def test_lower_bound_from_paley_17():
     rec = lower_bound_from_graph(paley_graph(17), source="paley")
     assert (rec.s, rec.t, rec.lower) == (4, 4, 18)

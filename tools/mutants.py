@@ -68,30 +68,32 @@ MUTANTS = (
     ),
     Mutant(
         "e", "extremal.py",
-        "_color_sort(adj, (1 << n) - 1)[1][-1] + 1, None",
-        "_color_sort(adj, (1 << n) - 1)[1][-1], None",
-        "the label-order greedy parent bound forgets the new vertex's colour",
+        "_cannot_win(up + 1, lo, edges, bar) for up, _ in",
+        "_cannot_win(up, lo, edges, bar) for up, _ in",
+        "the greedy rungs of a parent's chi ladder forget its children's new colour",
         ("test_extremal.py",),
     ),
     Mutant(
         "f", "extremal.py",
-        "yield max(greedy) + 1, None",
-        "yield max(greedy), None",
-        "the DSATUR parent bound forgets the new vertex's colour",
+        "_color_sort(adj, (1 << n) - 1)[1][-1], None",
+        "_color_sort(adj, (1 << n) - 1)[1][-1] - 1, None",
+        "the label-order greedy rung of the chi ladder claims one colour fewer "
+        "than its colouring uses",
         ("test_extremal.py",),
     ),
     Mutant(
         "g", "extremal.py",
-        "yield chi + 1, _classes(colors)",
-        "yield chi, _classes(colors)",
-        "the exact parent bound forgets the new vertex's colour",
+        "if not _cannot_win(up + 1, lo, edges, bar):",
+        "if not _cannot_win(up, lo, edges, bar):",
+        "the exact rung of a parent's chi ladder forgets its children's new colour",
         ("test_extremal.py",),
     ),
     Mutant(
         "h", "extremal.py",
-        "_cannot_win(up + 1, lo, edges, bar)",
-        "_cannot_win(up, lo, edges, bar)",
-        "the grandparent bound on a parent forgets its children's new colour",
+        "_cannot_win(up + spare, lo, child_edges, bar)",
+        "_cannot_win(up, lo, child_edges, bar)",
+        "the bounded step forgets the colours a child's descendants can still "
+        "gain, so a grandparent's bound on a parent forgets its children's new colour",
         ("test_extremal.py",),
     ),
     Mutant(
@@ -102,6 +104,16 @@ MUTANTS = (
         "a budgeted run drops the floor for K_n, which prunes nothing: it walks "
         "bare, and a cut before the first incumbent reports K_n",
         ("test_extremal.py", "test_cli_transcript.py"),
+    ),
+    Mutant(
+        "j", "extremal.py",
+        "return to_graph6(g) < to_graph6(bg)",
+        "return to_graph6(g) > to_graph6(bg)",
+        "the graph6 tie-break prefers the larger labelling, so the walk's "
+        "children, which take no canonicity test, can make a non-canonical "
+        "labelling the incumbent; test_every_incumbent_the_walk_takes_is_canonical "
+        "kills it",
+        ("test_extremal.py",),
     ),
 )
 
